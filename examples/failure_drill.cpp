@@ -48,7 +48,7 @@ int main() {
               }))
           .axis("failure", std::move(axis))
           .expand();
-  const auto results = exp::run_sweep(sweep, /*jobs=*/1);
+  const auto results = exp::run_sweep(sweep, exp::RunContext{});
 
   const double baseline = results[0].iter_sec;  // kNone row
   for (std::size_t i = 0; i < sweep.size(); ++i) {

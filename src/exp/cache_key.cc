@@ -74,7 +74,6 @@ void canonicalize_config(const sim::TrainingConfig& cfg, CanonicalWriter& w) {
   w.field("gate.rng_mode", static_cast<int>(cfg.gate.rng_mode));
 
   w.field("warmup_iterations", cfg.warmup_iterations);
-  w.field("warmup_policy", static_cast<int>(cfg.warmup_policy));
   w.field("seed", cfg.seed);
 
   // Fidelity ladder (DESIGN.md §12). pkt.burst is deliberately absent: burst

@@ -50,8 +50,9 @@ struct RunContext {
   int shard_index = 0;
   int shard_count = 1;
 
-  /// Engine report sink (optional). When set, a throwing point is recorded
-  /// here and the sweep continues; the caller decides the exit code.
+  /// Engine report sink (optional). Every point runs either way. When set,
+  /// failed points are recorded here and the caller decides the exit code;
+  /// when null, run_sweep throws the first failure after the workers drain.
   SweepStats* stats = nullptr;
 
   /// Fidelity-ladder override (`mixnet-bench --backend`): forces every

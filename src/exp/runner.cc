@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "exp/cache_key.h"
@@ -56,53 +56,35 @@ PointResult run_point(const SweepPoint& point) {
 namespace {
 
 /// Execute `todo` (indices into `points`) on a worker pool, writing into
-/// `results` slots. keep_going: capture a throwing point's what() in its
-/// result slot; otherwise fail fast and rethrow after workers drain.
-/// on_done (optional) runs on the worker thread for each successful point
-/// -- the stream stage.
+/// `results` slots. A point that throws gets a zeroed slot carrying the
+/// what() text, and the sweep keeps going. on_done runs on the worker
+/// thread for each successful point -- the stream stage.
 template <typename OnDone>
 void execute_points(const std::vector<SweepPoint>& points,
                     const std::vector<std::size_t>& todo,
                     std::vector<PointResult>& results, int jobs,
-                    bool keep_going, OnDone on_done) {
+                    OnDone on_done) {
   if (todo.empty()) return;
   std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
   auto work = [&]() {
     for (;;) {
       const std::size_t t = next.fetch_add(1);
-      if (t >= todo.size() || (!keep_going && failed.load())) return;
+      if (t >= todo.size()) return;
       const std::size_t i = todo[t];
+      std::string error;
       try {
         results[i] = run_point(points[i]);
         on_done(i);
+        continue;
       } catch (const std::exception& e) {
-        if (keep_going) {
-          results[i] = PointResult{};
-          results[i].index = points[i].index;
-          results[i].iterations = points[i].iterations;
-          results[i].error = e.what();
-          continue;
-        }
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-        failed.store(true);
-        return;
+        error = e.what();
       } catch (...) {
-        if (keep_going) {
-          results[i] = PointResult{};
-          results[i].index = points[i].index;
-          results[i].iterations = points[i].iterations;
-          results[i].error = "unknown exception";
-          continue;
-        }
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-        failed.store(true);
-        return;
+        error = "unknown exception";
       }
+      results[i] = PointResult{};
+      results[i].index = points[i].index;
+      results[i].iterations = points[i].iterations;
+      results[i].error = std::move(error);
     }
   };
   const std::size_t workers =
@@ -116,24 +98,9 @@ void execute_points(const std::vector<SweepPoint>& points,
     for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(work);
     for (auto& t : threads) t.join();
   }
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace
-
-std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
-                                   int jobs) {
-  std::vector<PointResult> results(points.size());
-  std::vector<std::size_t> todo(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) todo[i] = i;
-  execute_points(points, todo, results, jobs, /*keep_going=*/false,
-                 [](std::size_t) {});
-  return results;
-}
-
-std::vector<PointResult> run_sweep(const Sweep& sweep, int jobs) {
-  return run_sweep(sweep.points(), jobs);
-}
 
 std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
                                    const RunContext& ctx) {
@@ -182,34 +149,37 @@ std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
 
   // Execute + stream: completed records hit the disk from the worker thread
   // the moment they finish, so a killed run loses at most in-flight points.
-  execute_points(points, todo, results, ctx.jobs,
-                 /*keep_going=*/ctx.stats != nullptr, [&](std::size_t i) {
-                   if (ctx.cache)
-                     ctx.cache->put(ctx.scenario, keys[i], results[i],
-                                    points[i].labels);
-                 });
+  execute_points(points, todo, results, ctx.jobs, [&](std::size_t i) {
+    if (ctx.cache)
+      ctx.cache->put(ctx.scenario, keys[i], results[i], points[i].labels);
+  });
 
   // Merge + report: the results vector is indexed by point, independent of
-  // completion order; stats aggregate across a scenario's sweeps.
-  if (ctx.stats) {
-    ctx.stats->points += points.size();
-    ctx.stats->hits += hits;
-    ctx.stats->skipped += skipped;
-    ctx.stats->computed += todo.size();
-    for (const std::size_t i : todo) {
-      if (results[i].error.empty()) continue;
-      ++ctx.stats->failed;
-      std::string labels;
-      for (const auto& l : points[i].labels) {
-        if (!labels.empty()) labels += ", ";
-        labels += l;
-      }
-      ctx.stats->failures.push_back(
-          (ctx.scenario.empty() ? std::string("sweep") : ctx.scenario) +
-          " point #" + std::to_string(points[i].index) + " (" + labels +
-          "): " + results[i].error);
+  // completion order. Failures go to ctx.stats when the caller supplied a
+  // sink; otherwise the first one is thrown, so a failure is never silent.
+  std::vector<std::string> failures;
+  for (const std::size_t i : todo) {
+    if (results[i].error.empty()) continue;
+    std::string labels;
+    for (const auto& l : points[i].labels) {
+      if (!labels.empty()) labels += ", ";
+      labels += l;
     }
+    failures.push_back(
+        (ctx.scenario.empty() ? std::string("sweep") : ctx.scenario) +
+        " point #" + std::to_string(points[i].index) + " (" + labels +
+        "): " + results[i].error);
   }
+  if (!ctx.stats) {
+    if (!failures.empty()) throw std::runtime_error(failures.front());
+    return results;
+  }
+  ctx.stats->points += points.size();
+  ctx.stats->hits += hits;
+  ctx.stats->skipped += skipped;
+  ctx.stats->computed += todo.size();
+  ctx.stats->failed += failures.size();
+  for (auto& f : failures) ctx.stats->failures.push_back(std::move(f));
   return results;
 }
 

@@ -8,7 +8,7 @@
 // keyed by point index, so the collected ResultTable is identical whether
 // the sweep runs with --jobs 1 or --jobs N.
 //
-// The RunContext overload adds the content-addressed stages: each point's
+// The RunContext adds the content-addressed stages: each point's
 // canonical key (exp/cache_key.h) is looked up in the ResultCache before
 // execution; hits are returned with zero simulation work, misses owned by
 // this shard execute and stream their record to disk the moment they
@@ -41,8 +41,8 @@ struct PointResult {
   /// Probe-recorded custom metrics (see ScenarioSpec::probe).
   std::map<std::string, double> extra;
 
-  /// Non-empty when the point threw under a keep-going run (ctx.stats set):
-  /// the what() text. Failed points carry zeroed measurements.
+  /// Non-empty when the point threw: the what() text. Failed points carry
+  /// zeroed measurements.
   std::string error;
   /// Served from the ResultCache (no simulation work this process).
   bool from_cache = false;
@@ -60,18 +60,13 @@ struct PointResult {
 /// apply the probe.
 PointResult run_point(const SweepPoint& point);
 
-/// Execute all points with `jobs` worker threads (<= 1 means serial).
-/// Results are indexed by point index regardless of execution order. A
-/// point that throws rethrows on the caller's thread after all workers
-/// drain. (Plain path: no cache, no shard, fail-fast -- examples/tests.)
-std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
-                                   int jobs = 1);
-std::vector<PointResult> run_sweep(const Sweep& sweep, int jobs = 1);
-
-/// The full engine: cache lookup under ctx.scenario, shard filtering,
-/// streamed records, per-point keep-going error capture into ctx.stats.
-/// Without ctx.stats a throwing point rethrows (fail-fast) after workers
-/// drain; with it the point's error is recorded and the sweep continues.
+/// The sweep engine: cache lookup under ctx.scenario, shard filtering,
+/// ctx.jobs worker threads, streamed records. Results are indexed by point
+/// index regardless of execution order. A point that throws never stops
+/// the others: its error lands in its result slot and, when ctx.stats is
+/// set, in ctx.stats->failures. Without ctx.stats, run_sweep throws one
+/// std::runtime_error after the workers drain, whose what() is the first
+/// failure line ("<scenario> point #i (labels): <what>").
 std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
                                    const RunContext& ctx);
 std::vector<PointResult> run_sweep(const Sweep& sweep, const RunContext& ctx);

@@ -78,11 +78,6 @@ ScenarioSpec& ScenarioSpec::warmup(int iterations) {
   return *this;
 }
 
-ScenarioSpec& ScenarioSpec::warmup_policy(moe::WarmupPolicy policy) {
-  cfg_.warmup_policy = policy;
-  return *this;
-}
-
 ScenarioSpec& ScenarioSpec::configure(
     std::function<void(sim::TrainingConfig&)> fn) {
   mutations_.push_back(std::move(fn));

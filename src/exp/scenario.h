@@ -76,9 +76,6 @@ class ScenarioSpec {
   ScenarioSpec& copilot(bool on);
   ScenarioSpec& reconfig_delay(TimeNs delay);
   ScenarioSpec& warmup(int iterations);
-  /// Warmup fast-forward policy: closed-form OU skip (default) vs exact
-  /// per-iteration stepping (see sim::TrainingConfig::warmup_policy).
-  ScenarioSpec& warmup_policy(moe::WarmupPolicy policy);
 
   /// Escape hatch: arbitrary TrainingConfig mutation, applied at build time
   /// after model/parallelism resolution, in call order.

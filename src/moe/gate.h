@@ -47,18 +47,6 @@ struct GateConfig {
   Rng::Mode rng_mode = Rng::Mode::kVectorized;
 };
 
-/// How to advance the gate past warmup iterations (TrainingConfig /
-/// ScenarioSpec::warmup_policy).
-enum class WarmupPolicy {
-  /// skip(n): iterate the stochastic state step by step (exact historical
-  /// trajectory; O(n) draws).
-  kExactSteps,
-  /// advance_steps(n): sample the n-step state directly from the exact
-  /// discrete-time OU transition distribution (one draw per dimension;
-  /// same law, different trajectory).
-  kClosedForm,
-};
-
 class GateSimulator {
  public:
   explicit GateSimulator(const GateConfig& cfg);
@@ -66,10 +54,11 @@ class GateSimulator {
   /// Advance one training iteration (re-samples routing).
   void step();
 
-  /// Advance `n` iterations cheaply: the stochastic state (popularity,
-  /// preferences, transitions) moves forward but distributions and counts
-  /// are only materialized on the last step. Used to fast-forward past a
-  /// planning snapshot (one-shot-topology staleness).
+  /// Advance `n` iterations step by step: the stochastic state (popularity,
+  /// preferences, transitions) moves forward one draw per step, and
+  /// distributions and counts are only materialized on the last step. This
+  /// is the stepped reference for the closed-form law tests of
+  /// advance_steps(); simulators warm up with advance_steps().
   void skip(int n);
 
   /// Fast-forward `n` iterations in closed form: the popularity and
@@ -80,7 +69,7 @@ class GateSimulator {
   /// transition drift is applied once per crossed boundary. Lands on the
   /// same iteration count with the same state *law* as skip(n) but a
   /// different sample path; distributions and counts are materialized once
-  /// at the end. This is the WarmupPolicy::kClosedForm warmup fast path.
+  /// at the end. Simulators warm up past the planning snapshot with this.
   void advance_steps(int n);
 
   int iteration() const { return iter_; }

@@ -84,10 +84,7 @@ ServeSimulator::ServeSimulator(const sim::TrainingConfig& cluster,
   copilots_.assign(static_cast<std::size_t>(layers_per_stage_),
                    predict::Copilot(cc));
 
-  if (cfg_.warmup_policy == moe::WarmupPolicy::kClosedForm)
-    gate_->advance_steps(cfg_.warmup_iterations);
-  else
-    gate_->skip(cfg_.warmup_iterations);
+  gate_->advance_steps(cfg_.warmup_iterations);
 
   // Offline circuit setup from the warmed-up gate state: serving starts on
   // circuits matched to the initial demand, fully hidden (no request is in

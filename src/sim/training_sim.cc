@@ -126,12 +126,8 @@ TrainingSimulator::TrainingSimulator(TrainingConfig cfg) : cfg_(std::move(cfg)) 
 
   if (cfg_.fabric_kind == topo::FabricKind::kTopoOpt) install_topoopt_circuits();
 
-  // Advance the gate past the planning snapshot (see warmup_iterations /
-  // warmup_policy).
-  if (cfg_.warmup_policy == moe::WarmupPolicy::kClosedForm)
-    gate_->advance_steps(cfg_.warmup_iterations);
-  else
-    gate_->skip(cfg_.warmup_iterations);
+  // Advance the gate past the planning snapshot (see warmup_iterations).
+  gate_->advance_steps(cfg_.warmup_iterations);
 }
 
 control::TopologyController& TrainingSimulator::controller_for(int region) {

@@ -83,14 +83,9 @@ struct TrainingConfig {
   /// Gate iterations advanced between fabric setup and the first measured
   /// iteration. One-shot fabrics (TopoOpt) planned their circuits at setup,
   /// so this is what exposes their staleness against drifting traffic; it
-  /// is a no-op for fabrics that reconfigure at runtime.
+  /// is a no-op for fabrics that reconfigure at runtime. The gate jumps
+  /// them in closed form (GateSimulator::advance_steps).
   int warmup_iterations = 100;
-  /// How the warmup iterations are advanced: kClosedForm (default) samples
-  /// the warmup endpoint from the exact n-step OU transition distribution
-  /// (GateSimulator::advance_steps -- one draw per dimension, the figure-
-  /// bench fast path); kExactSteps iterates the historical per-iteration
-  /// walk (GateSimulator::skip).
-  moe::WarmupPolicy warmup_policy = moe::WarmupPolicy::kClosedForm;
   std::uint64_t seed = 42;
 
   /// Fidelity-ladder rung every communication phase is simulated on

@@ -1,6 +1,6 @@
 // Staged sweep engine (DESIGN.md §9): canonical serialization, content-key
 // stability, record round-trips, disk-cache persistence, shard/merge
-// bit-equality, resume-after-kill, and keep-going error capture.
+// bit-equality, resume-after-kill, and per-point error capture.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -313,7 +313,7 @@ TEST(SweepEngine, WarmRunIsAllHitsAndBitIdentical) {
 
 TEST(SweepEngine, ShardedRunsMergeBitIdenticalToSerial) {
   const Sweep sweep = tiny_sweep();
-  const auto serial = run_sweep(sweep, /*jobs=*/1);
+  const auto serial = run_sweep(sweep, RunContext{});
 
   for (const int n_shards : {2, 3, 8}) {
     TempCacheDir dir;
@@ -422,18 +422,45 @@ TEST(SweepEngine, KeepGoingRecordsErrorsAndNeverCachesThem) {
   // point and serves the good ones from disk.
   EXPECT_EQ(cache.size("figX"), 2u);
 
-  // Without ctx.stats the same sweep is fail-fast (legacy behavior).
+  // Without ctx.stats the same sweep throws after the drain.
   RunContext strict;
   strict.scenario = "figX";
   EXPECT_THROW(run_sweep(sweep, strict), std::runtime_error);
+}
+
+TEST(SweepEngine, NoStatsSinkRunsEveryPointThenThrowsFirstFailure) {
+  std::vector<double> probed;  // jobs = 1: probes run on this thread
+  const Sweep sweep =
+      SweepSpec(tiny_spec().iterations(1).probe(
+                    [&probed](sim::TrainingSimulator& simulator,
+                              PointResult&) {
+                      probed.push_back(simulator.config().nic_gbps);
+                      if (simulator.config().nic_gbps == 200.0)
+                        throw std::runtime_error("probe exploded");
+                    }))
+          .bandwidths({100.0, 200.0, 400.0})
+          .expand();
+
+  RunContext ctx;
+  ctx.scenario = "figX";
+  try {
+    run_sweep(sweep, ctx);
+    FAIL() << "run_sweep without a stats sink must throw on a failed point";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("figX point #1"), std::string::npos) << what;
+    EXPECT_NE(what.find("probe exploded"), std::string::npos) << what;
+  }
+  // The failing point does not stop the sweep: point #2 ran too.
+  EXPECT_EQ(probed, (std::vector<double>{100.0, 200.0, 400.0}));
 }
 
 TEST(SweepEngine, ParallelStreamingMatchesSerialBitExactly) {
   // The race-detector companion to the engine tests above, which all run at
   // the default ctx.jobs = 1: this is the test that drives the full engine
   // concurrently -- workers streaming ResultCache::put from their own
-  // threads while other workers execute, plus the error_mu-guarded
-  // keep-going error capture -- so the TSan CI job (DESIGN.md §10) observes
+  // threads while other workers execute, plus per-slot error capture for
+  // the points that throw -- so the TSan CI job (DESIGN.md §10) observes
   // every shared write the streaming path performs.
   const Sweep sweep =
       SweepSpec(tiny_spec()

@@ -90,16 +90,6 @@ TEST(ScenarioSpec, ConfigureIsTheLastWordIncludingSeed) {
   EXPECT_EQ(cfg.seed, 7u);
 }
 
-TEST(ScenarioSpec, WarmupPolicyDefaultsClosedFormAndOverrides) {
-  EXPECT_EQ(ScenarioSpec().build_config().warmup_policy,
-            moe::WarmupPolicy::kClosedForm);
-  EXPECT_EQ(ScenarioSpec()
-                .warmup_policy(moe::WarmupPolicy::kExactSteps)
-                .build_config()
-                .warmup_policy,
-            moe::WarmupPolicy::kExactSteps);
-}
-
 TEST(SweepSpec, NoAxesYieldsSinglePoint) {
   const Sweep sweep = SweepSpec(tiny_spec().iterations(2)).expand();
   ASSERT_EQ(sweep.size(), 1u);
@@ -154,6 +144,12 @@ TEST(SeedPolicy, PerPointSeedsAreDistinctAndReproducible) {
 
 // --------------------------------------------------------------- runner ----
 
+RunContext jobs_ctx(int jobs) {
+  RunContext ctx;
+  ctx.jobs = jobs;
+  return ctx;
+}
+
 TEST(SweepRunner, SerialAndParallelRunsProduceIdenticalResults) {
   const Sweep sweep = SweepSpec(tiny_spec().iterations(2).seed_policy(
                                     SeedPolicy::kPerPoint))
@@ -161,8 +157,8 @@ TEST(SweepRunner, SerialAndParallelRunsProduceIdenticalResults) {
                                     topo::FabricKind::kMixNet})
                           .bandwidths({100.0, 400.0})
                           .expand();
-  const auto serial = run_sweep(sweep, /*jobs=*/1);
-  const auto parallel = run_sweep(sweep, /*jobs=*/3);
+  const auto serial = run_sweep(sweep, jobs_ctx(1));
+  const auto parallel = run_sweep(sweep, jobs_ctx(3));
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].index, i);
@@ -191,13 +187,13 @@ TEST(SweepRunner, ProbeRecordsCustomMetrics) {
                           static_cast<double>(simulator.fabric().n_servers());
                     }))
           .expand();
-  const auto results = run_sweep(sweep, 1);
+  const auto results = run_sweep(sweep, RunContext{});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].extra.at("servers"), 4.0);  // 32 GPUs / 8 per server
 }
 
 TEST(SweepRunner, EmptyPointListIsFine) {
-  EXPECT_TRUE(run_sweep(std::vector<SweepPoint>{}, 4).empty());
+  EXPECT_TRUE(run_sweep(std::vector<SweepPoint>{}, jobs_ctx(4)).empty());
 }
 
 // -------------------------------------------------------------- emitters ----
@@ -315,8 +311,8 @@ TEST(ScenarioRegistry, ListScenariosJsonIsWellFormedAndComplete) {
   EXPECT_NE(json.find("\"describe\":{"), std::string::npos);
 }
 
-// Golden output for Figure 5, byte-exact against the pre-registry harness
-// (bench_fig05_locality at its last standalone revision). Guards the footer
+// Golden output for Figure 5, byte-exact against the pre-registry
+// standalone Figure 5 harness at its last revision. Guards the footer
 // rendering: the "Paper:" note rides as a table footer specifically so no
 // blank line separates it from the locality line -- a drift the registry
 // port introduced once already.

@@ -221,8 +221,10 @@ std::vector<SweepPoint> serve_points() {
 
 TEST(ServeSweep, ResultsAreIdenticalAcrossJobCounts) {
   const auto points = serve_points();
-  const auto serial = exp::run_sweep(points, 1);
-  const auto threaded = exp::run_sweep(points, 4);
+  exp::RunContext ctx;
+  const auto serial = exp::run_sweep(points, ctx);
+  ctx.jobs = 4;
+  const auto threaded = exp::run_sweep(points, ctx);
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_TRUE(serial[i].ok());
