@@ -187,4 +187,11 @@ std::vector<PointResult> run_sweep(const Sweep& sweep, const RunContext& ctx) {
   return run_sweep(sweep.points(), ctx);
 }
 
+std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
+                                   int jobs) {
+  RunContext ctx;
+  ctx.jobs = jobs;
+  return run_sweep(points, ctx);
+}
+
 }  // namespace mixnet::exp

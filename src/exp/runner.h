@@ -71,4 +71,10 @@ std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
                                    const RunContext& ctx);
 std::vector<PointResult> run_sweep(const Sweep& sweep, const RunContext& ctx);
 
+/// run_sweep with a default RunContext at `jobs` worker threads. Kept for
+/// the perfbench self-test, which still calls it; new code passes a
+/// RunContext.
+std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
+                                   int jobs);
+
 }  // namespace mixnet::exp
