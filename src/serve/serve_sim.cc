@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "dag/compute_model.h"
-#include "moe/traffic.h"
 
 namespace mixnet::serve {
 
@@ -11,58 +10,15 @@ namespace {
 constexpr double kBf16 = 2.0;
 }
 
-bool ServeSimulator::is_mixnet() const {
-  return cfg_.fabric_kind == topo::FabricKind::kMixNet ||
-         cfg_.fabric_kind == topo::FabricKind::kMixNetOpticalIO;
-}
-
 ServeSimulator::ServeSimulator(const sim::TrainingConfig& cluster,
                                const ServeConfig& scfg)
     : cfg_(cluster),
       scfg_(scfg),
+      cluster_(cfg_),
       detector_(control::HotspotConfig{scfg.hotspot_window,
                                        scfg.hotspot_threshold,
                                        scfg.hotspot_cooldown}) {
-  if (!cfg_.par_overridden) cfg_.par = moe::default_parallelism(cfg_.model);
-  placement_ = std::make_unique<moe::Placement>(cfg_.par, cfg_.gpus_per_server);
-
-  topo::FabricConfig fc =
-      topo::FabricConfig::preset(cfg_.fabric_kind, placement_->total_servers())
-          .with_gpus_per_server(cfg_.gpus_per_server)
-          .with_nics_per_server(cfg_.nics_per_server)
-          .with_nic_gbps(cfg_.nic_gbps)
-          .with_oversub(cfg_.oversub)
-          .with_eps_split(cfg_.eps_nics, cfg_.optical_degree)
-          .with_region_servers(placement_->region_servers())
-          .with_nvlink_gbps_per_gpu(cfg_.nvlink_gbps_per_gpu)
-          .with_ocs_nic_gbps(cfg_.ocs_nic_gbps);
-  if (is_mixnet()) {
-    fc.with_eps_split(cfg_.eps_nics, cfg_.nics_per_server - cfg_.eps_nics);
-    cfg_.optical_degree = fc.optical_degree;
-  }
-  fabric_ = std::make_unique<topo::Fabric>(topo::Fabric::build(fc));
-
-  moe::GateConfig gc = cfg_.gate;
-  gc.n_experts = cfg_.model.n_experts;
-  gc.n_layers = cfg_.model.n_blocks;
-  gc.ep_ranks = cfg_.par.ep;
-  gc.tokens_per_rank =
-      cfg_.par.tokens_per_microbatch() * cfg_.model.top_k / cfg_.par.ep;
-  gc.seed = cfg_.seed;
-  gate_ = std::make_unique<moe::GateSimulator>(gc);
-
-  collective::EngineConfig ecfg;
-  ecfg.a2a_efficiency = cfg_.a2a_efficiency;
-  ecfg.ring_efficiency = cfg_.ring_efficiency;
-  ecfg.switched_path_efficiency = cfg_.switched_path_efficiency;
-  runner_ = std::make_unique<sim::PhaseRunner>(
-      *fabric_, ecfg, /*cache_capacity=*/1024, cfg_.backend, cfg_.pkt);
-
-  group_servers_ = placement_->ep_group_servers(0, 0);
-  rank_to_local_server_ = placement_->ep_rank_to_local_server(0, 0);
-  if (is_mixnet()) rep_region_ = fabric_->region_of(group_servers_.front());
-  layers_per_stage_ = std::max(cfg_.model.n_blocks / cfg_.par.pp, 1);
-
+  const int layers = cluster_.layers_per_stage();
   // Contiguous initial placement, matching the gate's dispatch-matrix
   // convention: rank r owns experts [r*epr, (r+1)*epr). Each stage layer
   // owns its own map (its experts are distinct parameters), so the control
@@ -71,9 +27,8 @@ ServeSimulator::ServeSimulator(const sim::TrainingConfig& cluster,
   std::vector<int> contiguous(static_cast<std::size_t>(cfg_.model.n_experts));
   for (int e = 0; e < cfg_.model.n_experts; ++e)
     contiguous[static_cast<std::size_t>(e)] = std::min(e / epr, cfg_.par.ep - 1);
-  expert_to_rank_.assign(static_cast<std::size_t>(layers_per_stage_),
-                         contiguous);
-  last_loads_.resize(static_cast<std::size_t>(layers_per_stage_));
+  expert_to_rank_.assign(static_cast<std::size_t>(layers), contiguous);
+  last_loads_.resize(static_cast<std::size_t>(layers));
   predict::CopilotConfig cc;
   cc.n_experts = cfg_.model.n_experts;
   // Serving observes per engine step (milliseconds apart), not per training
@@ -81,25 +36,18 @@ ServeSimulator::ServeSimulator(const sim::TrainingConfig& cluster,
   // least squares than on the fabric simulation, and the load process only
   // moves on the hotspot-window timescale anyway.
   cc.resolve_every = 64;
-  copilots_.assign(static_cast<std::size_t>(layers_per_stage_),
-                   predict::Copilot(cc));
+  copilots_.assign(static_cast<std::size_t>(layers), predict::Copilot(cc));
 
-  gate_->advance_steps(cfg_.warmup_iterations);
+  cluster_.gate().advance_steps(cfg_.warmup_iterations);
 
   // Offline circuit setup from the warmed-up gate state: serving starts on
   // circuits matched to the initial demand, fully hidden (no request is in
   // flight yet). Runtime re-preparation only happens after a re-placement.
-  if (is_mixnet()) {
-    control::ControllerConfig cc;
-    cc.reconfig_delay = cfg_.reconfig_delay;
-    cc.policy = cfg_.policy;
-    cc.algo.work_conserving = !cfg_.strict_paper_greedy;
-    controller_ = std::make_unique<control::TopologyController>(
-        *fabric_, rep_region_, cc);
-    for (int l = 0; l < layers_per_stage_; ++l) {
-      const Matrix demand = moe::aggregate_to_servers(
-          rank_bytes(l, cfg_.par.tokens_per_microbatch()),
-          rank_to_local_server_, static_cast<int>(group_servers_.size()));
+  if (cluster_.is_mixnet()) {
+    controller_ = cluster_.make_controller(cluster_.rep_region());
+    for (int l = 0; l < layers; ++l) {
+      const Matrix demand = cluster_.group_server_matrix(
+          rank_bytes(l, cfg_.par.tokens_per_microbatch()));
       controller_->prepare(demand, cfg_.reconfig_delay);
     }
   }
@@ -109,7 +57,7 @@ ServeSimulator::~ServeSimulator() = default;
 
 Matrix ServeSimulator::rank_bytes(int layer, double step_tokens) const {
   const auto ep = static_cast<std::size_t>(cfg_.par.ep);
-  const Matrix& counts = gate_->dispatch_counts(layer);
+  const Matrix& counts = cluster_.gate().dispatch_counts(layer);
   const auto& e2r = expert_to_rank_[static_cast<std::size_t>(layer)];
   Matrix bytes(ep, ep, 0.0);
   const double total = counts.sum();
@@ -137,11 +85,8 @@ TimeNs ServeSimulator::simulate_step(double step_tokens, ServeReport& report) {
   };
   const auto ep = static_cast<std::size_t>(cfg_.par.ep);
   TimeNs stage = 0;
-  for (int l = 0; l < layers_per_stage_; ++l) {
-    const Matrix demand = moe::aggregate_to_servers(
-        rank_bytes(l, step_tokens), rank_to_local_server_,
-        static_cast<int>(group_servers_.size()));
-    monitor_.record(rep_region_, l, demand);
+  for (int l = 0; l < cluster_.layers_per_stage(); ++l) {
+    const Matrix demand = cluster_.group_server_matrix(rank_bytes(l, step_tokens));
     TimeNs blocked = 0;
     if (controller_ && pending_reconfig_layers_ > 0) {
       // Post-re-placement circuit re-targeting (Fig. 20 hide-window
@@ -158,9 +103,10 @@ TimeNs ServeSimulator::simulate_step(double step_tokens, ServeReport& report) {
       report.reconfig_blocked += outcome.blocked;
       --pending_reconfig_layers_;
     }
-    const TimeNs a2a = runner_->ep_all_to_all(group_servers_, demand);
+    const TimeNs a2a =
+        cluster_.runner().ep_all_to_all(cluster_.group_servers(), demand);
     // Expert compute dilation: the stage finishes with its hottest rank.
-    const Matrix& counts = gate_->dispatch_counts(l);
+    const Matrix& counts = cluster_.gate().dispatch_counts(l);
     const auto& e2r = expert_to_rank_[static_cast<std::size_t>(l)];
     std::vector<double> rank_load(ep, 0.0);
     double total = 0.0;
@@ -231,14 +177,15 @@ int swap_balance(const std::vector<double>& basis, std::vector<int>& e2r,
 TimeNs ServeSimulator::maybe_replace(ServeReport& report) {
   const auto ne = static_cast<std::size_t>(cfg_.model.n_experts);
   const auto ep = static_cast<std::size_t>(cfg_.par.ep);
+  const int layers = cluster_.layers_per_stage();
   constexpr int kMaxSwapsPerLayer = 2;
   // Per-layer expert load (the per-expert counters the control plane already
-  // collects; monitor demand is their server aggregate), fed to each layer's
-  // Copilot. The detector watches the stage-aggregate per-rank load.
+  // collects), fed to each layer's Copilot. The detector watches the
+  // stage-aggregate per-rank load.
   std::vector<double> rank_load(ep, 0.0);
-  for (int l = 0; l < layers_per_stage_; ++l) {
+  for (int l = 0; l < layers; ++l) {
     const auto li = static_cast<std::size_t>(l);
-    const std::vector<double>& cur = gate_->expert_load(l);
+    const std::vector<double>& cur = cluster_.gate().expert_load(l);
     if (!last_loads_[li].empty()) copilots_[li].observe(last_loads_[li], cur);
     last_loads_[li] = cur;
     for (std::size_t e = 0; e < ne; ++e)
@@ -255,7 +202,7 @@ TimeNs ServeSimulator::maybe_replace(ServeReport& report) {
   // have independent hot columns, so one global assignment cannot fix them.
   // The least-squares prediction runs only on triggers, never per step.
   int moved = 0;
-  for (int l = 0; l < layers_per_stage_; ++l) {
+  for (int l = 0; l < layers; ++l) {
     const auto li = static_cast<std::size_t>(l);
     const std::vector<double> basis = copilots_[li].observations() > 4
                                           ? copilots_[li].predict(last_loads_[li])
@@ -267,7 +214,7 @@ TimeNs ServeSimulator::maybe_replace(ServeReport& report) {
   report.experts_moved += moved;
   // The next pass over the stage's layers re-targets the regional OCS
   // circuits for the new placement (simulate_step picks this up).
-  pending_reconfig_layers_ = layers_per_stage_;
+  pending_reconfig_layers_ = layers;
   const TimeNs pause = ms_to_ns(scfg_.migration_ms_per_expert * moved);
   report.migration_paused += pause;
   return pause;
@@ -297,7 +244,7 @@ ServeReport ServeSimulator::run() {
     double step_tokens = 0.0;
     for (const auto& a : active)
       step_tokens += a.prefilled ? 1.0 : trace[a.id].prompt_tokens;
-    gate_->step();
+    cluster_.gate().step();
     now += simulate_step(step_tokens, report);
     now += maybe_replace(report);
     ++report.engine_steps;

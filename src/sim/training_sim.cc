@@ -42,62 +42,18 @@ Matrix rescale_plan_columns(Matrix seen, const std::vector<double>& predicted,
   return seen;
 }
 
-bool TrainingSimulator::is_mixnet() const {
-  return cfg_.fabric_kind == topo::FabricKind::kMixNet ||
-         cfg_.fabric_kind == topo::FabricKind::kMixNetOpticalIO;
-}
-
-TrainingSimulator::TrainingSimulator(TrainingConfig cfg) : cfg_(std::move(cfg)) {
-  if (!cfg_.par_overridden) cfg_.par = moe::default_parallelism(cfg_.model);
-  placement_ = std::make_unique<moe::Placement>(cfg_.par, cfg_.gpus_per_server);
-
-  topo::FabricConfig fc =
-      topo::FabricConfig::preset(cfg_.fabric_kind, placement_->total_servers())
-          .with_gpus_per_server(cfg_.gpus_per_server)
-          .with_nics_per_server(cfg_.nics_per_server)
-          .with_nic_gbps(cfg_.nic_gbps)
-          .with_oversub(cfg_.oversub)
-          .with_eps_split(cfg_.eps_nics, cfg_.optical_degree)
-          .with_region_servers(placement_->region_servers())
-          .with_nvlink_gbps_per_gpu(cfg_.nvlink_gbps_per_gpu)
-          .with_ocs_nic_gbps(cfg_.ocs_nic_gbps)
-          .with_core_model(cfg_.core_model);
-  if (is_mixnet()) {
-    fc.with_eps_split(cfg_.eps_nics, cfg_.nics_per_server - cfg_.eps_nics);
-    cfg_.optical_degree = fc.optical_degree;
-  }
-  // TopoOpt keeps its single global region (set inside Fabric::build).
-  fabric_ = std::make_unique<topo::Fabric>(topo::Fabric::build(fc));
-
-  moe::GateConfig gc = cfg_.gate;
-  gc.n_experts = cfg_.model.n_experts;
-  gc.n_layers = cfg_.model.n_blocks;
-  gc.ep_ranks = cfg_.par.ep;
-  gc.tokens_per_rank =
-      cfg_.par.tokens_per_microbatch() * cfg_.model.top_k / cfg_.par.ep;
-  gc.seed = cfg_.seed;
-  gate_ = std::make_unique<moe::GateSimulator>(gc);
-
-  collective::EngineConfig ecfg;
-  ecfg.a2a_efficiency = cfg_.a2a_efficiency;
-  ecfg.ring_efficiency = cfg_.ring_efficiency;
-  ecfg.switched_path_efficiency = cfg_.switched_path_efficiency;
-  runner_ = std::make_unique<PhaseRunner>(*fabric_, ecfg, /*cache_capacity=*/1024,
-                                          cfg_.backend, cfg_.pkt);
-
-  group_servers_ = placement_->ep_group_servers(0, 0);
-  rank_to_local_server_ = placement_->ep_rank_to_local_server(0, 0);
-  if (is_mixnet()) rep_region_ = fabric_->region_of(group_servers_.front());
-
-  failures_ = std::make_unique<control::FailureManager>(*fabric_);
+TrainingSimulator::TrainingSimulator(TrainingConfig cfg)
+    : cfg_(std::move(cfg)), cluster_(cfg_) {
+  topo::Fabric& fabric = cluster_.fabric();
+  failures_ = std::make_unique<control::FailureManager>(fabric);
   if (cfg_.failure.kind != control::FailureScenario::Kind::kNone) {
     failures_->apply(cfg_.failure);
-    runner_->set_relays(failures_->relays());
-    if (is_mixnet()) {
+    cluster_.runner().set_relays(failures_->relays());
+    if (cluster_.is_mixnet()) {
       // Translate global exclusions into region-local ones.
       const auto& excluded = failures_->excluded_servers();
-      const int region = fabric_->region_of(cfg_.failure.server);
-      const auto& members = fabric_->region_servers(region);
+      const int region = fabric.region_of(cfg_.failure.server);
+      const auto& members = fabric.region_servers(region);
       std::vector<bool> local(members.size(), false);
       bool any = false;
       for (std::size_t i = 0; i < members.size(); ++i) {
@@ -109,9 +65,10 @@ TrainingSimulator::TrainingSimulator(TrainingConfig cfg) : cfg_(std::move(cfg)) 
     if (failures_->tp_over_scale_out() && cfg_.par.tp > 1) {
       // TP all-reduce of the victim's shard crosses the scale-out fabric:
       // 4 ring all-reduces per layer between the victim and backup servers.
-      const int backup = (cfg_.failure.server + 1) % fabric_->n_servers();
+      const int backup = (cfg_.failure.server + 1) % fabric.n_servers();
       const Bytes payload = moe::tp_allreduce_bytes(cfg_.model, cfg_.par);
-      const TimeNs one = runner_->all_reduce({cfg_.failure.server, backup}, payload);
+      const TimeNs one =
+          cluster_.runner().all_reduce({cfg_.failure.server, backup}, payload);
       tp_penalty_per_layer_ = 4 * one;
     }
   }
@@ -119,44 +76,30 @@ TrainingSimulator::TrainingSimulator(TrainingConfig cfg) : cfg_(std::move(cfg)) 
   if (cfg_.use_copilot) {
     predict::CopilotConfig cc;
     cc.n_experts = cfg_.model.n_experts;
-    const int lps = std::max(cfg_.model.n_blocks / cfg_.par.pp, 1);
-    for (int l = 0; l < lps; ++l) copilots_.emplace_back(cc);
-    last_loads_.assign(static_cast<std::size_t>(lps + 1), {});
+    for (int l = 0; l < cluster_.layers_per_stage(); ++l)
+      copilots_.emplace_back(cc);
   }
 
   if (cfg_.fabric_kind == topo::FabricKind::kTopoOpt) install_topoopt_circuits();
 
   // Advance the gate past the planning snapshot (see warmup_iterations).
-  gate_->advance_steps(cfg_.warmup_iterations);
+  cluster_.gate().advance_steps(cfg_.warmup_iterations);
 }
 
 control::TopologyController& TrainingSimulator::controller_for(int region) {
-  auto it = controllers_.find(region);
-  if (it == controllers_.end()) {
-    control::ControllerConfig cc;
-    cc.reconfig_delay = cfg_.reconfig_delay;
-    cc.policy = cfg_.policy;
-    cc.algo.work_conserving = !cfg_.strict_paper_greedy;
-    it = controllers_
-             .emplace(region, std::make_unique<control::TopologyController>(
-                                  *fabric_, region, cc))
-             .first;
-  }
-  return *it->second;
-}
-
-Matrix TrainingSimulator::layer_server_matrix(int layer) const {
-  const Matrix rank =
-      gate_->rank_dispatch_matrix(layer, cfg_.model.hidden_dim * kBf16);
-  return moe::aggregate_to_servers(rank, rank_to_local_server_,
-                                   static_cast<int>(group_servers_.size()));
+  auto& controller = controllers_[region];
+  if (!controller) controller = cluster_.make_controller(region);
+  return *controller;
 }
 
 void TrainingSimulator::install_topoopt_circuits() {
   // One-shot topology (§7.1): a Hamiltonian ring for global connectivity
   // (TopoOpt's all-reduce rings) plus per-EP-group greedy circuits from the
   // initial demand estimate, using the remaining optical degree.
-  const int n = fabric_->n_servers();
+  topo::Fabric& fabric = cluster_.fabric();
+  const moe::Placement& placement = cluster_.placement();
+  const moe::GateSimulator& gate = cluster_.gate();
+  const int n = fabric.n_servers();
   const int alpha = cfg_.nics_per_server;
   Matrix counts(static_cast<std::size_t>(n), static_cast<std::size_t>(n), 0.0);
   if (n > 1) {
@@ -175,20 +118,20 @@ void TrainingSimulator::install_topoopt_circuits() {
   // ring structure it co-optimizes with (multi-ring DP + PP chains); the
   // remainder serves the group's all-to-all demand.
   const int group_alpha = std::max(alpha - 4, 0);
-  const int lps = std::max(cfg_.model.n_blocks / cfg_.par.pp, 1);
+  const int lps = cluster_.layers_per_stage();
   // Demand per group: sum the stage's layer matrices from the initial gate
   // state (dp=0 matrices reused for every replica -- statistically identical).
   for (int dp = 0; dp < cfg_.par.dp; ++dp) {
     for (int pp = 0; pp < cfg_.par.pp; ++pp) {
-      const auto members = placement_->ep_group_servers(dp, pp);
+      const auto members = placement.ep_group_servers(dp, pp);
       if (members.size() < 2) continue;
       Matrix demand(members.size(), members.size(), 0.0);
       for (int l = 0; l < lps; ++l) {
         const int layer = std::min(pp * lps + l, cfg_.model.n_blocks - 1);
-        const Matrix rank = gate_->rank_dispatch_matrix(
+        const Matrix rank = gate.rank_dispatch_matrix(
             layer, cfg_.model.hidden_dim * kBf16);
         const Matrix m = moe::aggregate_to_servers(
-            rank, placement_->ep_rank_to_local_server(dp, pp),
+            rank, placement.ep_rank_to_local_server(dp, pp),
             static_cast<int>(members.size()));
         for (std::size_t a = 0; a < demand.rows(); ++a)
           for (std::size_t b = 0; b < demand.cols(); ++b) demand(a, b) += m(a, b);
@@ -200,17 +143,21 @@ void TrainingSimulator::install_topoopt_circuits() {
                  static_cast<std::size_t>(members[b])) += topo.counts(a, b);
     }
   }
-  fabric_->apply_circuits(0, counts);
+  fabric.apply_circuits(0, counts);
 }
 
 IterationResult TrainingSimulator::run_iteration() {
-  gate_->step();
+  moe::GateSimulator& gate = cluster_.gate();
+  PhaseRunner& runner = cluster_.runner();
+  const std::vector<int>& group_servers = cluster_.group_servers();
+  const int rep_region = cluster_.rep_region();
+  gate.step();
   IterationResult res;
 
   const dag::LayerTimes lt =
       dag::forward_layer_times(cfg_.model, cfg_.par, cfg_.compute);
   const double bf = cfg_.compute.backward_factor;
-  const int lps = std::max(cfg_.model.n_blocks / cfg_.par.pp, 1);
+  const int lps = cluster_.layers_per_stage();
   const int stages = cfg_.par.pp;
   const int micro = cfg_.par.n_microbatches;
 
@@ -222,9 +169,10 @@ IterationResult TrainingSimulator::run_iteration() {
   const TimeNs bp_window =
       static_cast<TimeNs>(bf * static_cast<double>(lt.attention + lt.expert));
   for (int l = 0; l < lps; ++l) {
-    const Matrix demand = layer_server_matrix(l);
-    monitor_.record(rep_region_, l, demand);
-    if (is_mixnet()) {
+    const Matrix demand = cluster_.group_server_matrix(
+        gate.rank_dispatch_matrix(l, cfg_.model.hidden_dim * kBf16));
+    monitor_.record(rep_region, l, demand);
+    if (cluster_.is_mixnet()) {
       // Planning demand: Copilot predicts this layer's expert loads from the
       // previous layer and scales last iteration's observed matrix columns
       // accordingly (§B.1); otherwise the oracle matrix is used (the demand
@@ -232,18 +180,19 @@ IterationResult TrainingSimulator::run_iteration() {
       Matrix plan = demand;
       if (cfg_.use_copilot) {
         const auto& prev_load =
-            l == 0 ? gate_->expert_load(0) : gate_->expert_load(l - 1);
+            l == 0 ? gate.expert_load(0) : gate.expert_load(l - 1);
         auto& cp = copilots_[static_cast<std::size_t>(l)];
         const auto predicted = cp.predict(prev_load);
-        const Matrix* seen = monitor_.smoothed(rep_region_, l);
+        const Matrix* seen = monitor_.smoothed(rep_region, l);
         if (seen != nullptr && cp.observations() > 4) {
           // Rescale destination columns toward the predicted rank loads.
           const auto epr = std::max(cfg_.model.n_experts / cfg_.par.ep, 1);
-          plan = rescale_plan_columns(*seen, predicted, rank_to_local_server_, epr);
+          plan = rescale_plan_columns(*seen, predicted,
+                                      cluster_.rank_to_local_server(), epr);
         }
-        cp.observe(prev_load, gate_->expert_load(l));
+        cp.observe(prev_load, gate.expert_load(l));
       }
-      auto outcome = controller_for(rep_region_).prepare(plan, fp_window);
+      auto outcome = controller_for(rep_region).prepare(plan, fp_window);
       blocked_fp[static_cast<std::size_t>(l)] = outcome.blocked;
       if (outcome.reconfigured) {
         ++res.reconfigurations;
@@ -252,7 +201,7 @@ IterationResult TrainingSimulator::run_iteration() {
       }
     }
     a2a[static_cast<std::size_t>(l)] =
-        runner_->ep_all_to_all(group_servers_, demand);
+        runner.ep_all_to_all(group_servers, demand);
   }
   last_timeline_ = PhaseTimeline{lt.attention, lt.gate,     a2a[0],
                                  lt.expert,    a2a[0],      lt.add_norm,
@@ -261,17 +210,17 @@ IterationResult TrainingSimulator::run_iteration() {
   // --- PP boundary transfer -------------------------------------------------
   TimeNs pp_time = 0;
   if (stages > 1) {
-    const auto next_group = placement_->ep_group_servers(0, 1);
+    const auto next_group = cluster_.placement().ep_group_servers(0, 1);
     const Bytes act = moe::pp_activation_bytes(cfg_.model, cfg_.par) /
-                      static_cast<double>(group_servers_.size());
-    pp_time = runner_->send(group_servers_.front(), next_group.front(), act);
+                      static_cast<double>(group_servers.size());
+    pp_time = runner.send(group_servers.front(), next_group.front(), act);
   }
 
   // --- DP gradient all-reduce ----------------------------------------------
   TimeNs dp_time = 0;
   if (cfg_.par.dp > 1) {
-    const int spr = std::max(placement_->total_servers() / cfg_.par.dp, 1);
-    dp_time = runner_->dp_all_reduce(
+    const int spr = std::max(cluster_.placement().total_servers() / cfg_.par.dp, 1);
+    dp_time = runner.dp_all_reduce(
         spr, cfg_.par.dp, moe::dp_gradient_bytes_per_gpu(cfg_.model, cfg_.par));
   }
 

@@ -31,6 +31,7 @@
 #include "moe/models.h"
 #include "moe/placement.h"
 #include "predict/copilot.h"
+#include "sim/cluster.h"
 #include "sim/phase_runner.h"
 #include "topo/fabric.h"
 
@@ -149,31 +150,22 @@ class TrainingSimulator {
   /// Fig. 3 timeline of the first MoE block under the current gate state.
   const PhaseTimeline& layer_timeline() const { return last_timeline_; }
 
-  topo::Fabric& fabric() { return *fabric_; }
-  const moe::Placement& placement() const { return *placement_; }
+  topo::Fabric& fabric() { return cluster_.fabric(); }
+  const moe::Placement& placement() const { return cluster_.placement(); }
   const TrainingConfig& config() const { return cfg_; }
   const control::TrafficMonitor& monitor() const { return monitor_; }
-  PhaseRunner& phase_runner() { return *runner_; }
+  PhaseRunner& phase_runner() { return cluster_.runner(); }
 
  private:
-  bool is_mixnet() const;
   void install_topoopt_circuits();
   control::TopologyController& controller_for(int region);
-  Matrix layer_server_matrix(int layer) const;
 
-  TrainingConfig cfg_;
-  std::unique_ptr<moe::Placement> placement_;
-  std::unique_ptr<topo::Fabric> fabric_;
-  std::unique_ptr<moe::GateSimulator> gate_;
-  std::unique_ptr<PhaseRunner> runner_;
+  TrainingConfig cfg_;  ///< declared before cluster_, which completes it
+  Cluster cluster_;
   std::unique_ptr<control::FailureManager> failures_;
   control::TrafficMonitor monitor_;
   std::map<int, std::unique_ptr<control::TopologyController>> controllers_;
   std::vector<predict::Copilot> copilots_;  // per layer boundary (use_copilot)
-  std::vector<std::vector<double>> last_loads_;  // per layer, previous iteration
-  std::vector<int> group_servers_;          // representative EP group (dp0,pp0)
-  std::vector<int> rank_to_local_server_;
-  int rep_region_ = 0;
   TimeNs tp_penalty_per_layer_ = 0;
   PhaseTimeline last_timeline_;
 };

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "control/hotspot.h"
@@ -198,6 +199,46 @@ TEST(ServeSimulator, ReplacementOffNeverMovesExperts) {
   EXPECT_EQ(report.migration_paused, 0);
   // The off arm still observes: triggers are telemetry, not actions.
   EXPECT_GT(report.hotspot_triggers, 0);
+}
+
+// Serving brings its cluster up through sim::Cluster, as training does, so
+// TrainingConfig::core_model reaches the serving fabric and the phase runner
+// rejects the same combinations.
+TEST(ServeSimulator, AnalyticCoreRejectsPacketBackendLikeTraining) {
+  sim::TrainingConfig cluster = small_cluster();
+  cluster.core_model = topo::CoreModel::kAnalytic;
+  cluster.backend = net::NetBackend::kPacket;
+  EXPECT_THROW(sim::TrainingSimulator{cluster}, std::invalid_argument);
+  EXPECT_THROW((void)serve::ServeSimulator(cluster, small_workload()),
+               std::invalid_argument);
+}
+
+// The analytic core realizes the same max-min allocations as the explicit
+// leaf-spine core (DESIGN.md §13), so every request's timeline agrees within
+// the AnalyticCoreEquivalence bound (phase_cache_test).
+TEST(ServeSimulator, AnalyticCoreMatchesExplicitTimeline) {
+  for (const auto kind : {topo::FabricKind::kFatTree, topo::FabricKind::kMixNet}) {
+    const auto run = [kind](topo::CoreModel core) {
+      sim::TrainingConfig cluster = small_cluster();
+      cluster.fabric_kind = kind;
+      cluster.core_model = core;
+      return serve::ServeSimulator(cluster, small_workload()).run();
+    };
+    const serve::ServeReport ex = run(topo::CoreModel::kExplicit);
+    const serve::ServeReport an = run(topo::CoreModel::kAnalytic);
+    ASSERT_EQ(ex.records.size(), an.records.size());
+    const auto expect_close = [](TimeNs explicit_t, TimeNs analytic_t) {
+      const double tol = std::max(2.0, 1e-9 * static_cast<double>(explicit_t));
+      EXPECT_NEAR(static_cast<double>(analytic_t),
+                  static_cast<double>(explicit_t), tol);
+    };
+    for (std::size_t i = 0; i < ex.records.size(); ++i) {
+      SCOPED_TRACE(topo::to_string(kind) + std::string(" request ") +
+                   std::to_string(i));
+      expect_close(ex.records[i].first_token_ns, an.records[i].first_token_ns);
+      expect_close(ex.records[i].finish_ns, an.records[i].finish_ns);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
