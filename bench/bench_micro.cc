@@ -14,9 +14,9 @@
 #include "eventsim/simulator.h"
 #include "moe/gate.h"
 #include "net/flowsim.h"
-#include "net/packetsim.h"
 #include "net/routing.h"
 #include "ocs/algorithm.h"
+#include "oracle/packetsim.h"
 #include "pkt/engine.h"
 #include "predict/copilot.h"
 #include "topo/fabric.h"
@@ -92,8 +92,8 @@ BENCHMARK(BM_FlowSimAllToAll)->Arg(4)->Arg(8)->Arg(16);
 
 // ---------------------------------------------------------------------------
 // Packet-mode throughput: the reference store-and-forward PacketSim (one
-// std::function event per packet hop on the shared calendar) vs the burst
-// engine (POD event heap, SoA tables, slab descriptors) on the same 64-flow
+// std::function event per packet hop on the shared calendar) vs the packet
+// engine (timing wheel, dense tables, slab descriptors) on the same 64-flow
 // fat-tree workload. The engine's speedup is what makes packet-mode runs of
 // full training scenarios affordable (DESIGN.md §12).
 
@@ -146,13 +146,11 @@ void BM_PacketSimReference(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketSimReference);
 
-void BM_BurstEngine(benchmark::State& state) {
+void BM_PacketEngine(benchmark::State& state) {
   const PacketWorkload w = packet_workload();
-  pkt::PacketConfig cfg;
-  cfg.burst = static_cast<int>(state.range(0));
   std::uint64_t packets = 0;
   for (auto _ : state) {
-    pkt::Engine eng(w.fabric.network(), cfg);
+    pkt::Engine eng(w.fabric.network());
     for (std::size_t k = 0; k < w.paths.size(); ++k)
       eng.add_flow(w.flow_bytes, w.paths[k], 0);
     while (!eng.advance(kTimeInf).empty()) {
@@ -161,9 +159,9 @@ void BM_BurstEngine(benchmark::State& state) {
     packets += eng.packets_delivered();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(packets));
-  state.SetLabel("flows=64 burst=" + std::to_string(state.range(0)));
+  state.SetLabel("flows=64");
 }
-BENCHMARK(BM_BurstEngine)->Arg(1)->Arg(16)->Arg(64);
+BENCHMARK(BM_PacketEngine);
 
 void BM_EcmpRouting(benchmark::State& state) {
   auto fabric = topo::Fabric::build(topo::FabricConfig::fat_tree(128));

@@ -61,8 +61,6 @@ void Engine::set_relay(int server_a, int server_b, int relay) {
   relays_.emplace_back(server_a, server_b, relay);
 }
 
-void Engine::clear_relays() { relays_.clear(); }
-
 void Engine::start_pair_flows(int src_server, int dst_server, Bytes bytes,
                               int stripes, const std::shared_ptr<Barrier>& barrier,
                               bool allow_relay) {

@@ -104,7 +104,6 @@ class Engine {
   /// NICs of a server fail and the OCS provides the fallback path, §5.4).
   /// Pass server_b = -1 to detour every flow touching server_a.
   void set_relay(int server_a, int server_b, int relay);
-  void clear_relays();
 
  private:
   struct Barrier;  // completion joiner for multi-flow ops

@@ -107,15 +107,6 @@ class Rng {
   /// Sample an index from an (unnormalised) non-negative weight vector.
   std::size_t categorical(const std::vector<double>& weights);
 
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::size_t j = uniform_int(i);
-      std::swap(v[i - 1], v[j]);
-    }
-  }
-
   /// Fork a statistically independent child stream (for per-component seeds).
   Rng fork();
 

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "collective/engine.h"
 #include "topo/fabric.h"
 
 namespace mixnet::control {
@@ -55,7 +54,6 @@ class FailureManager {
 
   /// Relay rules to install on every collective engine instance.
   const std::vector<RelayRule>& relays() const { return relays_; }
-  void install_relays(collective::Engine& engine) const;
 
   /// True when a failed GPU forces one stage's TP all-reduce onto the
   /// scale-out fabric (extra per-layer cost charged by the training sim).

@@ -1,16 +1,15 @@
 // All-to-all traffic monitor (§5.1).
 //
-// Tracks per-(region, layer) inter-server demand matrices as training
-// iterations execute. The topology controllers consume the latest observed
-// matrix (the four all-to-all phases of a layer share one symmetrized
-// demand); TopoOpt's one-shot optimization consumes the EWMA-smoothed
-// aggregate. The paper notes Megatron-LM already collects these counts for
-// on-demand all-to-all, so monitoring adds no overhead -- here it is simply
-// fed by the gate simulator.
+// Tracks an EWMA-smoothed inter-server demand matrix per (region, layer).
+// Copilot-driven MixNet training rescales it toward the predicted expert
+// loads to plan each layer's circuits (§B.1); TopoOpt's one-shot circuits
+// are planned from the gate directly, not from here. The paper notes
+// Megatron-LM already collects these counts for on-demand all-to-all, so
+// monitoring adds no overhead -- here it is simply fed by the gate simulator.
 #pragma once
 
 #include <map>
-#include <optional>
+#include <utility>
 
 #include "common/matrix.h"
 
@@ -23,25 +22,12 @@ class TrafficMonitor {
   /// Record an observed inter-server demand matrix for a layer's all-to-all.
   void record(int region, int layer, const Matrix& demand);
 
-  /// Latest observation, or nullptr if none.
-  const Matrix* last(int region, int layer) const;
-
   /// EWMA-smoothed demand, or nullptr if none.
   const Matrix* smoothed(int region, int layer) const;
 
-  /// Sum of smoothed demands over all layers of a region (one-shot planning).
-  Matrix aggregate(int region) const;
-
-  std::size_t observations() const { return n_obs_; }
-
  private:
-  struct Entry {
-    Matrix last;
-    Matrix ewma;
-  };
   double w_;
-  std::map<std::pair<int, int>, Entry> entries_;
-  std::size_t n_obs_ = 0;
+  std::map<std::pair<int, int>, Matrix> ewma_;
 };
 
 }  // namespace mixnet::control

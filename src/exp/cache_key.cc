@@ -76,9 +76,7 @@ void canonicalize_config(const sim::TrainingConfig& cfg, CanonicalWriter& w) {
   w.field("warmup_iterations", cfg.warmup_iterations);
   w.field("seed", cfg.seed);
 
-  // Fidelity ladder (DESIGN.md §12). pkt.burst is deliberately absent: burst
-  // size is mechanical batching with bit-identical results (machine-checked
-  // by pkt_test), so it is allowlisted in tools/lint/cache_key.json.
+  // Fidelity ladder (DESIGN.md §12).
   w.field("backend", static_cast<int>(cfg.backend));
   w.field("pkt.mtu_bytes", cfg.pkt.mtu_bytes);
   w.field("pkt.window_packets", cfg.pkt.window_packets);

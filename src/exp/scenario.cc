@@ -184,14 +184,6 @@ SweepSpec& SweepSpec::failures(
   return axis("failure", std::move(vs));
 }
 
-SweepSpec& SweepSpec::copilot_modes(const std::vector<bool>& modes) {
-  std::vector<AxisValue> vs;
-  for (bool on : modes)
-    vs.push_back(
-        {on ? "copilot" : "oracle", [on](ScenarioSpec& s) { s.copilot(on); }});
-  return axis("copilot", std::move(vs));
-}
-
 Sweep SweepSpec::expand() const {
   std::vector<std::string> names;
   std::vector<std::size_t> sizes;

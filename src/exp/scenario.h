@@ -169,7 +169,6 @@ class SweepSpec {
   SweepSpec& bandwidths(const std::vector<double>& gbps);
   SweepSpec& micro_batches(const std::vector<int>& sizes);
   SweepSpec& failures(const std::vector<control::FailureScenario>& scenarios);
-  SweepSpec& copilot_modes(const std::vector<bool>& modes);
 
   /// Cartesian expansion in axis declaration order, last axis fastest.
   Sweep expand() const;

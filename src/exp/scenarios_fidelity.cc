@@ -1,8 +1,8 @@
 // Fidelity-ladder scenario (DESIGN.md §12): one fig12-class training
 // workload swept across every network backend — the contention-free
 // analytic bound, the max-min fluid FlowSim the paper's figures run on, and
-// the burst-pipeline packet engine — on both a fat-tree and a MixNet
-// fabric. The registered check machine-gates the agreement bounds, turning
+// the packet engine — on both a fat-tree and a MixNet fabric. The
+// registered check machine-gates the agreement bounds, turning
 // "flowsim is right" from a spot check into a CI-enforced sweep:
 //
 //   * ordering: analytic <= flow on every metric (a flow's fair-share rate

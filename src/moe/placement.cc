@@ -43,13 +43,6 @@ std::vector<int> Placement::ep_group_servers(int dp, int pp) const {
   return servers;
 }
 
-std::vector<int> Placement::ep_group_gpus(int dp, int pp) const {
-  std::vector<int> gpus;
-  gpus.reserve(static_cast<std::size_t>(par_.ep));
-  for (int ep = 0; ep < par_.ep; ++ep) gpus.push_back(gpu_of({dp, pp, ep, 0}));
-  return gpus;
-}
-
 int Placement::region_servers() const {
   const int group_gpus = par_.ep * par_.tp;
   return std::max(1, (group_gpus + gpus_per_server_ - 1) / gpus_per_server_);

@@ -39,12 +39,6 @@ class Placement {
   /// GPUs of the group may share servers; the list is deduplicated, ordered.
   std::vector<int> ep_group_servers(int dp, int pp) const;
 
-  /// GPUs of one EP group in ep-major order (each entry is the first TP rank).
-  std::vector<int> ep_group_gpus(int dp, int pp) const;
-
-  /// Number of EP groups ( == dp * pp ).
-  int n_ep_groups() const { return par_.dp * par_.pp; }
-
   /// Servers per EP group (region size for FabricConfig::region_servers).
   int region_servers() const;
 

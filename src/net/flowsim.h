@@ -25,7 +25,7 @@
 // For the multi-megabyte transfers that dominate distributed training this
 // matches per-packet fair-queueing simulation closely; the PacketVsFluid
 // sweep in tests/net_test.cc cross-checks it against the store-and-forward
-// PacketSim.
+// PacketSim oracle (tests/oracle/).
 #pragma once
 
 #include <cstdint>

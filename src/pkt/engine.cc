@@ -5,9 +5,7 @@
 namespace mixnet::pkt {
 
 Engine::Engine(const net::Network& net, PacketConfig cfg)
-    : net_(net),
-      cfg_(cfg),
-      stage_(static_cast<std::size_t>(cfg.burst < 1 ? 1 : cfg.burst)) {
+    : net_(net), cfg_(cfg) {
   rebucket(kMinSpan);
 }
 
@@ -57,6 +55,7 @@ const std::vector<Completion>& Engine::advance(TimeNs limit) {
       wheel_place(ev_time(ev), ev_slot(ev));
     }
     TimeNs t;
+    keyed_.clear();
     if (wheel_live_ > 0) {
       t = wheel_scan();
       if (t > rel_limit) break;
@@ -64,20 +63,9 @@ const std::vector<Completion>& Engine::advance(TimeNs limit) {
       // injections at later times must still land at or after it.
       wheel_pos_ = t;
       const std::size_t b = static_cast<std::size_t>(t) & mask_;
-      const std::int32_t chain = bucket_[b];
+      std::int32_t s = bucket_[b];
       bucket_[b] = -1;
       bitmap_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-      if (slab_[chain].next < 0) {
-        // Fast path: a lone arrival — by far the common case — is its own
-        // one-descriptor burst; skip the gather, the sort and the ring.
-        --wheel_live_;
-        refill_.clear();
-        process_arrival(chain, t);
-        for (const PktFlowId f : refill_) inject(f, t);
-        continue;
-      }
-      keyed_.clear();
-      std::int32_t s = chain;
       while (s >= 0) {
         const std::int32_t nx = slab_[s].next;
         gather_sorted(s);
@@ -85,7 +73,6 @@ const std::vector<Completion>& Engine::advance(TimeNs limit) {
         --wheel_live_;
       }
     } else if (!heap_.empty()) {
-      keyed_.clear();
       // Every pending event is past the wheel cap (pathologically long
       // horizon): process straight off the heap without moving the cursor.
       t = ev_time(heap_[0]);
@@ -101,32 +88,14 @@ const std::vector<Completion>& Engine::advance(TimeNs limit) {
   return completions_;
 }
 
-// One event instant, in stages (the burst pipeline): keyed_ holds every
-// packet arriving at time t, sorted by content key; stream the descriptors
-// through the burst ring, then refill flow windows. Departure times are
-// pure arithmetic over link clear-clocks, so nothing a later burst
-// processes can change what an earlier burst computed — results cannot
-// depend on the burst size. The refill stage runs strictly after all
-// arrivals so FIFO order at time t is (transiting packets, then freshly
-// injected ones) for any burst width.
+// One event instant: keyed_ holds every packet arriving at time t, sorted
+// by content key. Route or deliver each in that order, then let the window
+// credits freed by deliveries inject follow-up packets — strictly after all
+// arrivals, so FIFO order at time t is (transiting packets, then freshly
+// injected ones).
 void Engine::process_instant(TimeNs t) {
   refill_.clear();
-  if (keyed_.size() <= stage_.capacity()) {
-    // A tie group that fits in one burst is its own batch: staging it
-    // through the ring would pop it back in the same order.
-    for (const auto& [key, slot] : keyed_) process_arrival(slot, t);
-  } else {
-    // Stage 1: route or deliver, one burst of descriptors at a time, in
-    // content-key order.
-    for (const auto& [key, slot] : keyed_) {
-      if (stage_.full()) {
-        while (!stage_.empty()) process_arrival(stage_.pop(), t);
-      }
-      stage_.push(slot);
-    }
-    while (!stage_.empty()) process_arrival(stage_.pop(), t);
-  }
-  // Stage 2: window credits freed by deliveries inject follow-up packets.
+  for (const auto& [key, slot] : keyed_) process_arrival(slot, t);
   for (const PktFlowId f : refill_) inject(f, t);
 }
 

@@ -1,10 +1,9 @@
-// Burst-pipeline packet engine (DESIGN.md §12).
+// Packet engine (DESIGN.md §12).
 //
-// A store-and-forward packet simulator with the same semantics as
-// net::PacketSim — flows chopped into MTU packets, per-flow windowed
-// injection, FIFO links — rebuilt around the dpdk/ndn-dpdk burst
-// architecture so packet-mode runs of full training scenarios are
-// affordable:
+// A store-and-forward packet simulator with the same semantics as the
+// net::PacketSim test oracle — flows chopped into MTU packets, per-flow
+// windowed injection, FIFO links — built around flat data so packet-mode
+// runs of full training scenarios are affordable:
 //
 //   * dense flow/link tables and an index-based slab of 32-byte packet
 //     descriptors (zero per-packet allocation once the pool warms up);
@@ -26,12 +25,11 @@
 //     warm-started from max(tx_mtu + delay), doubles on demand up to
 //     2^16 ns, and events beyond the cap wait in a small packed 4-ary heap
 //     that migrates into the wheel as the cursor approaches;
-//   * per-instant staged processing — all arrivals at time t stream through
-//     a ring in bursts of `PacketConfig::burst` descriptors, then window
-//     credits refill — with event ties broken by *content* keys (flow id,
-//     per-flow packet sequence), never by creation order or bucket/heap
-//     order, so results are bit-identical for any burst size;
-//   * completions reported per burst via advance(), not one callback per
+//   * one loop per event instant: every arrival at time t is processed in
+//     content-key order (flow id, per-flow packet sequence) — never
+//     creation, bucket or heap order — and only then do window credits
+//     refill, so results are a function of the traffic alone;
+//   * completions reported per instant via advance(), not one callback per
 //     packet.
 //
 // All internal times are relative to the first add_flow() so they pack
@@ -39,8 +37,8 @@
 // phases are milliseconds).
 //
 // The engine owns no clock: the PacketTransport adapter drains it against
-// the eventsim::Simulator horizon (see pkt/transport.h). net::PacketSim
-// stays as the golden oracle; tests/pkt_test.cc diffs the two.
+// the eventsim::Simulator horizon (see pkt/transport.h). tests/pkt_test.cc
+// diffs it against the net::PacketSim golden oracle (tests/oracle/).
 #pragma once
 
 #include <cstdint>
@@ -50,7 +48,6 @@
 #include "common/units.h"
 #include "net/network.h"
 #include "pkt/config.h"
-#include "pkt/ring.h"
 #include "pkt/slab.h"
 
 namespace mixnet::pkt {
@@ -203,7 +200,6 @@ class Engine {
   // same-time arrivals as (content key, slot), kept sorted on insert.
   std::vector<std::pair<std::uint64_t, std::int32_t>> keyed_;
   std::vector<PktFlowId> refill_;
-  Ring<std::int32_t> stage_;  // burst-sized descriptor batches
   std::vector<Completion> completions_;
 
   std::uint64_t packets_forwarded_ = 0;

@@ -1,4 +1,4 @@
-// net::Transport adapter over the burst packet engine, plus the fidelity-
+// net::Transport adapter over the packet engine, plus the fidelity-
 // ladder factory.
 //
 // The engine keeps its own POD event heap; this adapter is the only piece

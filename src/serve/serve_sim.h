@@ -52,12 +52,6 @@ class ServeSimulator {
   /// Drive the open-loop trace to completion.
   ServeReport run();
 
-  /// Current expert->EP-rank assignment of one stage layer (contiguous until
-  /// a re-placement).
-  const std::vector<int>& expert_to_rank(int layer) const {
-    return expert_to_rank_[static_cast<std::size_t>(layer)];
-  }
-
  private:
   struct ActiveRequest {
     std::size_t id = 0;       ///< index into the trace / records

@@ -13,13 +13,13 @@
 //
 // Phase results are memoized (DESIGN.md §6): the key is (phase kind,
 // topology epoch, participant set, 64-bit demand hash), so a phase whose
-// inputs and fabric state are unchanged — the same layer re-visited by a
-// later micro-batch or a warm iteration, the per-iteration PP send, the DP
-// gradient ring — returns its cached duration without re-simulating.
-// Topology mutations (OCS reconfiguration, failure injection) change the
-// fabric epoch and therefore miss; set_relays() drops the cache outright
-// because relay rules are PhaseRunner state the epoch cannot see. The cache
-// is LRU-bounded; stats() reports hits/misses/invalidations.
+// inputs and fabric state are unchanged returns its cached duration without
+// re-simulating. Registered scenarios almost never repeat a key (DESIGN.md
+// §6 records the measurement). Topology mutations (OCS reconfiguration,
+// failure injection) change the fabric epoch and therefore miss;
+// set_relays() drops the cache outright because relay rules are PhaseRunner
+// state the epoch cannot see. The cache is LRU-bounded; stats() reports
+// hits/misses/invalidations.
 #pragma once
 
 #include <cstdint>

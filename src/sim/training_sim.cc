@@ -171,7 +171,6 @@ IterationResult TrainingSimulator::run_iteration() {
   for (int l = 0; l < lps; ++l) {
     const Matrix demand = cluster_.group_server_matrix(
         gate.rank_dispatch_matrix(l, cfg_.model.hidden_dim * kBf16));
-    monitor_.record(rep_region, l, demand);
     if (cluster_.is_mixnet()) {
       // Planning demand: Copilot predicts this layer's expert loads from the
       // previous layer and scales last iteration's observed matrix columns
@@ -183,11 +182,12 @@ IterationResult TrainingSimulator::run_iteration() {
             l == 0 ? gate.expert_load(0) : gate.expert_load(l - 1);
         auto& cp = copilots_[static_cast<std::size_t>(l)];
         const auto predicted = cp.predict(prev_load);
-        const Matrix* seen = monitor_.smoothed(rep_region, l);
-        if (seen != nullptr && cp.observations() > 4) {
+        monitor_.record(rep_region, l, demand);
+        if (cp.observations() > 4) {
           // Rescale destination columns toward the predicted rank loads.
           const auto epr = std::max(cfg_.model.n_experts / cfg_.par.ep, 1);
-          plan = rescale_plan_columns(*seen, predicted,
+          plan = rescale_plan_columns(*monitor_.smoothed(rep_region, l),
+                                      predicted,
                                       cluster_.rank_to_local_server(), epr);
         }
         cp.observe(prev_load, gate.expert_load(l));

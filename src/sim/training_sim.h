@@ -91,7 +91,7 @@ struct TrainingConfig {
 
   /// Fidelity-ladder rung every communication phase is simulated on
   /// (DESIGN.md §12): contention-free analytic bound, max-min fluid flows
-  /// (the paper's model), or the burst-pipeline packet engine.
+  /// (the paper's model), or the packet engine.
   net::NetBackend backend = net::NetBackend::kFlow;
   /// Packet-engine tuning; consulted only when backend == kPacket.
   pkt::PacketConfig pkt;
@@ -153,7 +153,6 @@ class TrainingSimulator {
   topo::Fabric& fabric() { return cluster_.fabric(); }
   const moe::Placement& placement() const { return cluster_.placement(); }
   const TrainingConfig& config() const { return cfg_; }
-  const control::TrafficMonitor& monitor() const { return monitor_; }
   PhaseRunner& phase_runner() { return cluster_.runner(); }
 
  private:
@@ -163,7 +162,7 @@ class TrainingSimulator {
   TrainingConfig cfg_;  ///< declared before cluster_, which completes it
   Cluster cluster_;
   std::unique_ptr<control::FailureManager> failures_;
-  control::TrafficMonitor monitor_;
+  control::TrafficMonitor monitor_;  // smoothed demand (use_copilot only)
   std::map<int, std::unique_ptr<control::TopologyController>> controllers_;
   std::vector<predict::Copilot> copilots_;  // per layer boundary (use_copilot)
   TimeNs tp_penalty_per_layer_ = 0;

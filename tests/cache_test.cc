@@ -191,12 +191,6 @@ TEST(CacheKey, SemanticChangesProduceNewKeys) {
   q.cfg.pkt.window_packets += 4;
   expect_fresh(q, "packet window change");
 
-  // pkt.burst is mechanical batching (bit-identical results for any value;
-  // see tools/lint/cache_key.json) -- deliberately NOT part of the key.
-  q = p;
-  q.cfg.pkt.burst = 7;
-  EXPECT_EQ(point_cache_key("figX", q), base);
-
   // Scenario id namespaces the key: fig12 and fig13 share configs but may
   // carry different probes.
   EXPECT_NE(point_cache_key("figY", p), base);

@@ -270,8 +270,9 @@ TEST(ScenarioRegistry, EveryPaperFigureIsRegistered) {
 
 TEST(ScenarioRegistry, RejectsDuplicateNames) {
   ScenarioRegistry reg;
-  reg.add({"x", "X", "first", nullptr});
-  EXPECT_THROW(reg.add({"x", "X", "again", nullptr}), std::invalid_argument);
+  reg.add({"x", "X", "first", nullptr, {}, "test"});
+  EXPECT_THROW(reg.add({"x", "X", "again", nullptr, {}, "test"}),
+               std::invalid_argument);
 }
 
 // The analytic scenarios are cheap enough to run end-to-end here: the

@@ -1,4 +1,4 @@
-#include "net/packetsim.h"
+#include "oracle/packetsim.h"
 
 #include <algorithm>
 #include <cassert>

@@ -1,6 +1,7 @@
-// Store-and-forward packet-level simulator (validation mode).
+// Store-and-forward packet-level simulator: the golden oracle.
 //
-// A deliberately simple reference model used to validate the fluid FlowSim:
+// Test support, not part of any src/ layer. A deliberately simple reference
+// model used to validate the fluid FlowSim and the packet engine (src/pkt):
 // flows are chopped into MTU-sized packets, each link serves packets FIFO at
 // its capacity, and queues are unbounded (lossless fabric, as in RoCE/IB with
 // PFC). Sources are window-paced (packets admitted per-flow round-robin) so

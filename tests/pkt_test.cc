@@ -1,7 +1,6 @@
-// Burst packet engine (src/pkt): container invariants, exact differential
-// equivalence against the net::PacketSim golden oracle, burst-size
-// invariance, and the PacketTransport adapter's eventsim integration
-// (DESIGN.md §12).
+// Packet engine (src/pkt): slab invariants, exact differential equivalence
+// against the net::PacketSim golden oracle, content-key tie-breaking, and
+// the PacketTransport adapter's eventsim integration (DESIGN.md §12).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,67 +11,14 @@
 
 #include "eventsim/simulator.h"
 #include "net/network.h"
-#include "net/packetsim.h"
 #include "net/transport.h"
+#include "oracle/packetsim.h"
 #include "pkt/engine.h"
-#include "pkt/ring.h"
 #include "pkt/slab.h"
 #include "pkt/transport.h"
 
 namespace mixnet::pkt {
 namespace {
-
-// ------------------------------------------------------------------ ring ----
-
-TEST(Ring, FifoOrderAndEmptyFull) {
-  Ring<int> r(4);
-  EXPECT_TRUE(r.empty());
-  EXPECT_FALSE(r.full());
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(r.push(i));
-  EXPECT_TRUE(r.full());
-  EXPECT_FALSE(r.push(99));  // full: rejected, not overwritten
-  EXPECT_EQ(r.size(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(r.pop(), i);
-  EXPECT_TRUE(r.empty());
-}
-
-TEST(Ring, WrapsAroundManyTimes) {
-  Ring<int> r(4);
-  int next_in = 0;
-  int next_out = 0;
-  // Keep the ring half full while pushing far past its capacity, so
-  // head/tail cross the buffer boundary dozens of times.
-  EXPECT_TRUE(r.push(next_in++));
-  EXPECT_TRUE(r.push(next_in++));
-  for (int round = 0; round < 100; ++round) {
-    EXPECT_TRUE(r.push(next_in++));
-    EXPECT_EQ(r.pop(), next_out++);
-  }
-  while (!r.empty()) EXPECT_EQ(r.pop(), next_out++);
-  EXPECT_EQ(next_out, next_in);
-}
-
-TEST(Ring, CapacityRoundsUpToPowerOfTwo) {
-  Ring<int> r3(3);
-  int n = 0;
-  while (r3.push(n)) ++n;
-  EXPECT_EQ(n, 4);  // 3 -> 4
-
-  Ring<int> r0(0);
-  EXPECT_TRUE(r0.push(7));  // minimum capacity is 1
-  EXPECT_TRUE(r0.full());
-  EXPECT_EQ(r0.pop(), 7);
-}
-
-TEST(Ring, FrontPeeksWithoutPopping) {
-  Ring<int> r(2);
-  r.push(5);
-  r.push(6);
-  EXPECT_EQ(r.front(), 5);
-  EXPECT_EQ(r.size(), 2u);
-  r.clear();
-  EXPECT_TRUE(r.empty());
-}
 
 // ------------------------------------------------------------------ slab ----
 
@@ -125,11 +71,8 @@ std::vector<TimeNs> oracle_times(const net::Network& net,
 
 // Drive the engine standalone (no eventsim): drain batch by batch.
 std::vector<TimeNs> engine_times(const net::Network& net,
-                                 const std::vector<TestFlow>& flows,
-                                 int burst) {
-  PacketConfig cfg;
-  cfg.burst = burst;
-  Engine eng(net, cfg);
+                                 const std::vector<TestFlow>& flows) {
+  Engine eng(net);
   std::vector<TimeNs> done(flows.size(), -1);
   for (const TestFlow& f : flows) eng.add_flow(f.size, f.path, 0);
   for (;;) {
@@ -192,13 +135,13 @@ TEST(EngineVsPacketSim, MultiHopLineExactMatch) {
   const net::Network net = line_net(&path);
   const std::vector<TestFlow> flows = {
       {mib(2), path}, {mib(0.5), path}, {mib(1.25), path}};
-  EXPECT_EQ(engine_times(net, flows, 64), oracle_times(net, flows));
+  EXPECT_EQ(engine_times(net, flows), oracle_times(net, flows));
 }
 
 TEST(EngineVsPacketSim, SkewedDumbbellExactMatch) {
   std::vector<TestFlow> flows;
   const net::Network net = dumbbell_net(&flows);
-  EXPECT_EQ(engine_times(net, flows, 64), oracle_times(net, flows));
+  EXPECT_EQ(engine_times(net, flows), oracle_times(net, flows));
 }
 
 TEST(EngineVsPacketSim, ManyFlowIncastBoundedDivergence) {
@@ -209,7 +152,7 @@ TEST(EngineVsPacketSim, ManyFlowIncastBoundedDivergence) {
   // -- never drift proportionally to the flow size.
   std::vector<TestFlow> flows;
   const net::Network net = incast_net(&flows);
-  const std::vector<TimeNs> engine = engine_times(net, flows, 64);
+  const std::vector<TimeNs> engine = engine_times(net, flows);
   const std::vector<TimeNs> oracle = oracle_times(net, flows);
   const double quantum = 4096.0 * 8.0 / (401.0 * 1e9) * 1e9;  // ~82 ns
   for (std::size_t i = 0; i < flows.size(); ++i) {
@@ -219,37 +162,44 @@ TEST(EngineVsPacketSim, ManyFlowIncastBoundedDivergence) {
   }
 }
 
-TEST(Engine, BurstSizeNeverChangesResults) {
-  std::vector<TestFlow> flows;
-  const net::Network net = incast_net(&flows);
-  const std::vector<TimeNs> reference = engine_times(net, flows, 64);
-  for (const int burst : {1, 2, 16, 333}) {
-    EXPECT_EQ(engine_times(net, flows, burst), reference)
-        << "burst " << burst;
-  }
-}
-
-TEST(Engine, CompletionBatchOrderIsBurstInvariant) {
-  // Stronger than final times: the full (flow, time) completion sequence,
-  // including intra-batch order, must be identical for any burst.
-  std::vector<TestFlow> flows;
-  const net::Network net = incast_net(&flows);
-  auto sequence = [&](int burst) {
-    PacketConfig cfg;
-    cfg.burst = burst;
-    Engine eng(net, cfg);
+TEST(Engine, TiedCompletionsFollowContentKeyOrder) {
+  // Tied arrivals resolve by content key (flow id, per-flow sequence), never
+  // by bucket-chain or heap order: every advance() batch lists its flows in
+  // ascending id order, and the full (flow, time) completion sequence is a
+  // function of the traffic alone, so two fresh engines agree exactly.
+  auto sequence = [](const net::Network& net,
+                     const std::vector<TestFlow>& flows) {
+    Engine eng(net);
     for (const TestFlow& f : flows) eng.add_flow(f.size, f.path, 0);
     std::vector<std::pair<PktFlowId, TimeNs>> seq;
     for (;;) {
       const std::vector<Completion>& comps = eng.advance(kTimeInf);
       if (comps.empty()) break;
+      for (std::size_t i = 1; i < comps.size(); ++i)
+        EXPECT_LT(comps[i - 1].flow, comps[i].flow) << "at " << comps[i].at;
       for (const Completion& c : comps) seq.emplace_back(c.flow, c.at);
     }
     return seq;
   };
-  const auto reference = sequence(64);
-  EXPECT_EQ(sequence(1), reference);
-  EXPECT_EQ(sequence(7), reference);
+  std::vector<TestFlow> incast;
+  const net::Network incast_network = incast_net(&incast);
+  const auto first = sequence(incast_network, incast);
+  EXPECT_EQ(first.size(), incast.size());
+  EXPECT_EQ(sequence(incast_network, incast), first);
+
+  // The incast's completions never tie; identical flows on disjoint,
+  // identical links all finish in one batch.
+  net::Network twins_network;
+  std::vector<TestFlow> twins;
+  for (int i = 0; i < 4; ++i) {
+    const net::NodeId a = twins_network.add_node(net::NodeKind::kServer);
+    const net::NodeId b = twins_network.add_node(net::NodeKind::kServer);
+    twins.push_back(
+        {mib(1), {twins_network.add_link(a, b, gbps(100.0), us_to_ns(1.0))}});
+  }
+  const auto tied = sequence(twins_network, twins);
+  ASSERT_EQ(tied.size(), twins.size());
+  EXPECT_EQ(tied.front().second, tied.back().second);
 }
 
 TEST(Engine, PacketAccountingAndMtuChopping) {
@@ -293,7 +243,7 @@ TEST(PacketTransport, MatchesStandaloneEngineExactly) {
   // are bit-identical to draining the engine directly.
   std::vector<TestFlow> flows;
   const net::Network net = incast_net(&flows);
-  const std::vector<TimeNs> direct = engine_times(net, flows, 64);
+  const std::vector<TimeNs> direct = engine_times(net, flows);
 
   eventsim::Simulator sim;
   PacketTransport pt(sim, net);

@@ -82,7 +82,9 @@ TEST(Workload, ArrivalsAreSortedAndTokensBounded) {
   const auto trace = serve::generate_workload(scfg, 3);
   ASSERT_EQ(trace.size(), 64u);
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (i) EXPECT_GE(trace[i].arrival_ns, trace[i - 1].arrival_ns);
+    if (i) {
+      EXPECT_GE(trace[i].arrival_ns, trace[i - 1].arrival_ns);
+    }
     EXPECT_GE(trace[i].prompt_tokens, 1);
     EXPECT_LE(trace[i].prompt_tokens, 8192);
     EXPECT_GE(trace[i].output_tokens, 1);

@@ -106,10 +106,10 @@ TEST(TrainingSim, IterationCompletesOnAllFabrics) {
   }
 }
 
-TEST(TrainingSim, FidelityLadderOrderedAndBurstInvariant) {
+TEST(TrainingSim, FidelityLadderOrdered) {
   // DESIGN.md §12: same truncated fig10-class workload on every backend
   // rung. Fat-tree (no OCS reconfiguration) so phase times compose purely.
-  auto cfg = [](net::NetBackend b, int burst) {
+  auto cfg = [](net::NetBackend b) {
     TrainingConfig c;
     c.model = moe::mixtral_8x7b();
     c.model.n_blocks = 2;
@@ -125,15 +125,13 @@ TEST(TrainingSim, FidelityLadderOrderedAndBurstInvariant) {
     c.par.n_microbatches = 2;
     c.par_overridden = true;
     c.backend = b;
-    c.pkt.burst = burst;
     return c;
   };
   const auto ra =
-      TrainingSimulator(cfg(net::NetBackend::kAnalytic, 64)).run_iteration();
-  const auto rf =
-      TrainingSimulator(cfg(net::NetBackend::kFlow, 64)).run_iteration();
+      TrainingSimulator(cfg(net::NetBackend::kAnalytic)).run_iteration();
+  const auto rf = TrainingSimulator(cfg(net::NetBackend::kFlow)).run_iteration();
   const auto rp =
-      TrainingSimulator(cfg(net::NetBackend::kPacket, 64)).run_iteration();
+      TrainingSimulator(cfg(net::NetBackend::kPacket)).run_iteration();
   EXPECT_GT(ra.total, 0);
   EXPECT_GT(rf.total, 0);
   EXPECT_GT(rp.total, 0);
@@ -144,18 +142,6 @@ TEST(TrainingSim, FidelityLadderOrderedAndBurstInvariant) {
   // enforces the tight published tolerance; this is the coarse guard).
   EXPECT_NEAR(static_cast<double>(rp.total) / static_cast<double>(rf.total),
               1.0, 0.25);
-
-  // Burst width is mechanical batching, never semantics: bit-identical
-  // iteration results for any burst, and across repeated runs.
-  const auto rp1 =
-      TrainingSimulator(cfg(net::NetBackend::kPacket, 1)).run_iteration();
-  const auto rp64 =
-      TrainingSimulator(cfg(net::NetBackend::kPacket, 64)).run_iteration();
-  EXPECT_EQ(rp.total, rp1.total);
-  EXPECT_EQ(rp.total, rp64.total);
-  EXPECT_EQ(rp.ep_comm, rp1.ep_comm);
-  EXPECT_EQ(rp.dp_comm, rp1.dp_comm);
-  EXPECT_EQ(rp.pp_send, rp1.pp_send);
 }
 
 TEST(TrainingSim, MixNetComparableToFatTree) {
@@ -311,14 +297,6 @@ TEST(TrainingSim, DpReplicasAddAllReduce) {
   EXPECT_GT(r.dp_comm, 0);
   EXPECT_DOUBLE_EQ(r.tokens,
                    cfg.par.tokens_per_microbatch() * cfg.par.n_microbatches * 2);
-}
-
-TEST(TrainingSim, MonitorObservesAllStageLayers) {
-  auto cfg = base(topo::FabricKind::kMixNet);
-  TrainingSimulator sim(cfg);
-  sim.run_iteration();
-  const int lps = cfg.model.n_blocks / cfg.par.pp;
-  EXPECT_EQ(sim.monitor().observations(), static_cast<std::size_t>(lps));
 }
 
 TEST(TrainingSim, CopilotModeCloseToOracle) {
