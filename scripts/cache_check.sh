@@ -4,7 +4,12 @@
 # 1. Cold/warm check: run the figure smoke twice against a fresh cache dir.
 #    The cold run must compute every point; the warm run must be 100% cache
 #    hits with zero simulation work, and its stdout must be byte-identical.
-# 2. Shard-merge check: run fig12 as 2 shards into a second fresh cache dir,
+# 2. Corrupt-cache check: damage the warm fig12 cache two ways -- append a
+#    line nested 1,000,000 arrays deep, and mangle one record's number
+#    ("39.05" -> "3-9.05") -- then re-run. The run must exit 0, recompute
+#    exactly the mangled point, and print output byte-identical to the cold
+#    run: a hostile record is a miss, never a crash or a misread value.
+# 3. Shard-merge check: run fig12 as 2 shards into a second fresh cache dir,
 #    `mixnet-bench merge`, and require the merged output to be byte-identical
 #    to a serial --no-cache run.
 #
@@ -30,7 +35,7 @@ for b in $benches; do
   cache="$work/cache-$b"
   echo "== cache-reuse: $b =="
   "$bench" --run "$b" --jobs "$jobs" --cache "$cache" \
-    --stats "$work/cold.json" > "$work/cold.txt"
+    --stats "$work/cold.json" > "$work/cold-$b.txt"
   "$bench" --run "$b" --jobs "$jobs" --cache "$cache" \
     --stats "$work/warm.json" > "$work/warm.txt"
 
@@ -46,10 +51,31 @@ for b in $benches; do
     echo "FAIL: warm run of $b recomputed $warm_computed point(s)" >&2; exit 1; }
   [ "$warm_hits" -eq "$warm_points" ] || {
     echo "FAIL: warm run of $b hit $warm_hits of $warm_points points" >&2; exit 1; }
-  cmp -s "$work/cold.txt" "$work/warm.txt" || {
+  cmp -s "$work/cold-$b.txt" "$work/warm.txt" || {
     echo "FAIL: warm output of $b differs from cold output" >&2
-    diff "$work/cold.txt" "$work/warm.txt" >&2 || true; exit 1; }
+    diff "$work/cold-$b.txt" "$work/warm.txt" >&2 || true; exit 1; }
 done
+
+echo "== corrupt-cache: fig12 =="
+cache="$work/cache-fig12"
+[ -f "$work/cold-fig12.txt" ] ||  # fig12 left out of the smoke list
+  "$bench" --run fig12 --jobs "$jobs" --cache "$cache" > "$work/cold-fig12.txt"
+head -c 1000000 /dev/zero | tr '\0' '[' >> "$cache/fig12.jsonl"
+echo >> "$cache/fig12.jsonl"
+sed -i '1s/"iter_sec":\([0-9]\)/"iter_sec":\1-/' "$cache/fig12.jsonl"
+rc=0
+"$bench" --run fig12 --jobs "$jobs" --cache "$cache" \
+  --stats "$work/corrupt.json" > "$work/corrupt.txt" || rc=$?
+[ "$rc" -eq 0 ] || {
+  echo "FAIL: fig12 over a corrupted cache exited $rc" >&2; exit 1; }
+corrupt_computed=$(stat_field "$work/corrupt.json" computed)
+echo "   corrupted cache: computed=$corrupt_computed"
+[ "$corrupt_computed" -eq 1 ] || {
+  echo "FAIL: corrupted cache recomputed $corrupt_computed point(s), want 1" >&2
+  exit 1; }
+cmp -s "$work/cold-fig12.txt" "$work/corrupt.txt" || {
+  echo "FAIL: fig12 output over a corrupted cache differs from cold output" >&2
+  diff "$work/cold-fig12.txt" "$work/corrupt.txt" >&2 || true; exit 1; }
 
 echo "== shard-merge: fig12 (2 shards) =="
 shard_cache="$work/cache-shard"

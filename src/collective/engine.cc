@@ -37,7 +37,7 @@ struct Engine::Barrier {
   }
 };
 
-Engine::Engine(eventsim::Simulator& sim, topo::Fabric& fabric,
+Engine::Engine(eventsim::Simulator& sim, const topo::Fabric& fabric,
                net::Transport& flows, net::EcmpRouter& router, EngineConfig cfg)
     : sim_(sim), fabric_(fabric), flows_(flows), router_(router), cfg_(cfg) {}
 

@@ -70,7 +70,7 @@ class Engine {
 
   /// `flows` may be any rung of the fidelity ladder (analytic / fluid /
   /// packet); the engine only starts flows and consumes completions.
-  Engine(eventsim::Simulator& sim, topo::Fabric& fabric,
+  Engine(eventsim::Simulator& sim, const topo::Fabric& fabric,
          net::Transport& flows, net::EcmpRouter& router, EngineConfig cfg = {});
 
   /// Point-to-point transfer between two servers (PP activations).
@@ -115,7 +115,7 @@ class Engine {
   int relay_for(int a, int b) const;
 
   eventsim::Simulator& sim_;
-  topo::Fabric& fabric_;
+  const topo::Fabric& fabric_;
   net::Transport& flows_;
   net::EcmpRouter& router_;
   EngineConfig cfg_;

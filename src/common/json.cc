@@ -26,7 +26,7 @@ class Parser {
 
   std::optional<Value> run() {
     Value v;
-    if (!parse_value(v)) return std::nullopt;
+    if (!parse_value(v, 0)) return std::nullopt;
     skip_ws();
     if (pos_ != s_.size()) return std::nullopt;  // trailing garbage
     return v;
@@ -42,11 +42,21 @@ class Parser {
 
   bool eat(char c) {
     skip_ws();
+    return eat_here(c);
+  }
+
+  bool eat_here(char c) {
     if (pos_ < s_.size() && s_[pos_] == c) {
       ++pos_;
       return true;
     }
     return false;
+  }
+
+  bool digits() {
+    const std::size_t from = pos_;
+    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
+    return pos_ > from;
   }
 
   bool literal(const char* word) {
@@ -106,25 +116,29 @@ class Parser {
     return false;  // unterminated
   }
 
+  // The JSON number grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+  // -- nothing looser, so a mangled token such as "3-9.04" is an error
+  // rather than a silently truncated 3.
   bool parse_number(Value& v) {
     const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           ((s_[pos_] >= '0' && s_[pos_] <= '9') || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' ||
-            s_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start) return false;
+    eat_here('-');
+    if (!eat_here('0') && !digits()) return false;
+    if (eat_here('.') && !digits()) return false;
+    if (eat_here('e') || eat_here('E')) {
+      if (!eat_here('+')) eat_here('-');
+      if (!digits()) return false;
+    }
     v.kind_ = Value::Kind::kNumber;
     v.str_ = s_.substr(start, pos_ - start);
     return true;
   }
 
-  bool parse_value(Value& v) {
+  bool parse_value(Value& v, int depth) {
     skip_ws();
     if (pos_ >= s_.size()) return false;
     switch (s_[pos_]) {
       case '{': {
+        if (depth >= kMaxDepth) return false;
         ++pos_;
         v.kind_ = Value::Kind::kObject;
         skip_ws();
@@ -134,20 +148,21 @@ class Parser {
           if (!parse_string(key)) return false;
           if (!eat(':')) return false;
           Value member;
-          if (!parse_value(member)) return false;
+          if (!parse_value(member, depth + 1)) return false;
           v.members_.emplace_back(std::move(key), std::move(member));
           if (eat(',')) continue;
           return eat('}');
         }
       }
       case '[': {
+        if (depth >= kMaxDepth) return false;
         ++pos_;
         v.kind_ = Value::Kind::kArray;
         skip_ws();
         if (eat(']')) return true;
         for (;;) {
           Value item;
-          if (!parse_value(item)) return false;
+          if (!parse_value(item, depth + 1)) return false;
           v.items_.push_back(std::move(item));
           if (eat(',')) continue;
           return eat(']');

@@ -4,7 +4,10 @@
 // bit-exactly. This is a reader for our own emitter's output, not a general
 // validator: it accepts the JSON grammar (objects, arrays, strings with
 // \uXXXX escapes, numbers, true/false/null) and rejects anything else by
-// returning std::nullopt.
+// returning std::nullopt. The cache file is untrusted input, so rejection
+// is also how parse() meets a malformed number or nesting deeper than a
+// fixed limit far above anything the repo writes: never a crash, never a
+// misread value.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +17,12 @@
 #include <vector>
 
 namespace mixnet::json {
+
+/// Deepest object/array nesting parse() accepts. The result cache's records
+/// nest three levels (record -> "iters" array -> iteration object); a
+/// document nested past this limit is hostile or corrupt, and is rejected
+/// before the recursive descent can exhaust the stack.
+inline constexpr int kMaxDepth = 64;
 
 class Value {
  public:

@@ -77,7 +77,7 @@ void Executor::on_ready(TaskId id, std::vector<int>& touched_resources) {
 }
 
 void Executor::dispatch_resource(int resource) {
-  if (resource_busy_now_[resource]) return;
+  if (resource_held_[resource]) return;
   auto it = pending_.find(resource);
   if (it == pending_.end() || it->second.empty()) return;
   auto& q = it->second;
@@ -96,40 +96,29 @@ void Executor::dispatch_resource(int resource) {
 void Executor::start_task(TaskId id) {
   const auto i = static_cast<std::size_t>(id);
   if (started_[i]) return;
-  Task& t = graph_.tasks_[i];
-  if (t.resource >= 0 && resource_busy_now_[t.resource]) {
+  const Task& t = graph_.tasks_[i];
+  if (t.resource >= 0 && resource_held_[t.resource]) {
     pending_[t.resource].push_back(id);
     return;
   }
   started_[i] = true;
-  if (t.resource >= 0) resource_busy_now_[t.resource] = true;
-  if (t.async) {
-    t.async([this, id](TimeNs when) { finish_task(id, when); });
-  } else {
-    sim_.schedule_after(t.duration, [this, id] { finish_task(id, sim_.now()); });
-  }
+  if (t.resource >= 0) resource_held_[t.resource] = true;
+  sim_.schedule_after(t.duration, [this, id] { finish_task(id); });
 }
 
-void Executor::finish_task(TaskId id, TimeNs t) {
+void Executor::finish_task(TaskId id) {
   const auto i = static_cast<std::size_t>(id);
+  const TimeNs t = sim_.now();
   finish_[i] = t;
   makespan_ = std::max(makespan_, t);
   ++done_count_;
-  Task& task = graph_.tasks_[i];
-  if (task.resource >= 0) {
-    resource_busy_now_[task.resource] = false;
-    resource_busy_total_[task.resource] += task.duration;
-  }
+  const Task& task = graph_.tasks_[i];
+  if (task.resource >= 0) resource_held_[task.resource] = false;
   std::vector<int> touched;
   for (TaskId w : dependents_[i])
     if (--unmet_deps_[static_cast<std::size_t>(w)] == 0) on_ready(w, touched);
   if (task.resource >= 0) touched.push_back(task.resource);
   for (int r : touched) dispatch_resource(r);
-}
-
-TimeNs Executor::resource_busy(int resource) const {
-  auto it = resource_busy_total_.find(resource);
-  return it == resource_busy_total_.end() ? 0 : it->second;
 }
 
 }  // namespace mixnet::dag

@@ -1,16 +1,15 @@
 // Task DAG + executor: the FlexFlow-style iteration graph (§7.1).
 //
-// Tasks are either timed (fixed duration) or async (hand control to a
-// callback that later reports completion -- used for live network phases).
-// A task may claim an exclusive *resource* (a pipeline-stage GPU group):
-// timed tasks holding a resource serialize on it; among ready tasks on the
-// same resource, higher priority wins, which is how the 1F1B schedule is
-// expressed (backward tasks outrank forward tasks, so steady-state
-// interleaving emerges from the dependency structure alone).
+// Every task has a fixed duration: network phases are simulated in
+// isolation beforehand (sim::PhaseRunner, DESIGN.md §6) and enter the graph
+// as their measured durations. A task may claim an exclusive *resource* (a
+// pipeline-stage GPU group): tasks holding a resource serialize on it; among
+// ready tasks on the same resource, higher priority wins, which is how the
+// 1F1B schedule is expressed (backward tasks outrank forward tasks, so
+// steady-state interleaving emerges from the dependency structure alone).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <string>
@@ -24,10 +23,7 @@ using TaskId = std::int32_t;
 
 struct Task {
   std::string label;
-  /// Fixed duration; ignored when `async` is set.
   TimeNs duration = 0;
-  /// Async body: invoked when the task starts; must eventually call done(t).
-  std::function<void(std::function<void(TimeNs)> done)> async;
   /// Exclusive resource id, or -1 for none (e.g. network transfers).
   int resource = -1;
   int priority = 0;
@@ -64,14 +60,11 @@ class Executor {
     return finish_[static_cast<std::size_t>(id)];
   }
 
-  /// Total time each resource spent executing (utilization reports).
-  TimeNs resource_busy(int resource) const;
-
  private:
   void on_ready(TaskId id, std::vector<int>& touched_resources);
   void dispatch_resource(int resource);
   void start_task(TaskId id);
-  void finish_task(TaskId id, TimeNs t);
+  void finish_task(TaskId id);
 
   eventsim::Simulator& sim_;
   TaskGraph& graph_;
@@ -79,8 +72,7 @@ class Executor {
   std::vector<std::vector<TaskId>> dependents_;
   std::vector<bool> started_;
   std::vector<TimeNs> finish_;
-  std::map<int, bool> resource_busy_now_;
-  std::map<int, TimeNs> resource_busy_total_;
+  std::map<int, bool> resource_held_;
   std::map<int, std::vector<TaskId>> pending_;  // ready, waiting for resource
   std::size_t done_count_ = 0;
   TimeNs makespan_ = 0;

@@ -95,11 +95,6 @@ ScenarioSpec& ScenarioSpec::seed(std::uint64_t s) {
   return *this;
 }
 
-ScenarioSpec& ScenarioSpec::seed_policy(SeedPolicy p) {
-  seed_policy_ = p;
-  return *this;
-}
-
 ScenarioSpec& ScenarioSpec::probe(ProbeFn fn) {
   probe_ = std::move(fn);
   return *this;
@@ -206,8 +201,6 @@ Sweep SweepSpec::expand() const {
       p.labels.push_back(v.label);
       v.apply(spec);
     }
-    if (spec.seed_policy() == SeedPolicy::kPerPoint)
-      spec.seed(derive_point_seed(spec.seed(), idx));
     p.cfg = spec.build_config();
     p.iterations = spec.iterations();
     p.probe = spec.probe();

@@ -3,8 +3,8 @@
 // Experiments are data, not hand-wired main() functions:
 //
 //   * ScenarioSpec  -- fluent builder over sim::TrainingConfig plus the
-//     measurement policy (iterations per point, seed policy, a post-run
-//     probe for custom metrics);
+//     measurement policy (iterations per point, base seed, a post-run probe
+//     for custom metrics);
 //   * SweepSpec     -- parameter axes (models, fabrics, bandwidths,
 //     micro-batch sizes, failure scenarios, copilot on/off, or arbitrary
 //     custom axes) expanded as a cartesian grid, last axis fastest;
@@ -12,12 +12,12 @@
 //     indexing (`at({i, j})`) so scenario code never re-matches points by
 //     floating-point comparison of axis values.
 //
-// Seed policy: kShared gives every point the spec's base seed (each point
-// still owns an independent TrainingSimulator; this reproduces the
-// historical per-figure outputs). kPerPoint derives each point's seed
-// deterministically from (base seed, point index) via splitmix-style
-// mixing, so results are independent of execution order and of which other
-// points exist in the grid slice a worker thread happens to run.
+// Seeds: every expanded point gets the spec's base seed (each point still
+// owns an independent TrainingSimulator; this reproduces the historical
+// per-figure outputs). A scenario that wants per-point seeds assigns
+// derive_point_seed(base, point index) to its points itself, as the serve
+// scenarios do; the derivation depends on nothing else, so results stay
+// independent of execution order and of grid slicing.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +34,6 @@
 namespace mixnet::exp {
 
 struct PointResult;  // runner.h
-
-enum class SeedPolicy {
-  kShared,    ///< every point uses the base seed (historical figure outputs)
-  kPerPoint,  ///< seed = derive_point_seed(base, point index)
-};
 
 /// Deterministic per-point seed derivation (splitmix-style mixing).
 std::uint64_t derive_point_seed(std::uint64_t base_seed, std::size_t index);
@@ -84,7 +79,6 @@ class ScenarioSpec {
   /// Measured iterations per point (reported metrics average over them).
   ScenarioSpec& iterations(int n);
   ScenarioSpec& seed(std::uint64_t s);
-  ScenarioSpec& seed_policy(SeedPolicy p);
   ScenarioSpec& probe(ProbeFn fn);
 
   /// Resolve to a concrete TrainingConfig (model -> parallelism ->
@@ -93,7 +87,6 @@ class ScenarioSpec {
 
   int iterations() const { return iterations_; }
   std::uint64_t seed() const { return seed_; }
-  SeedPolicy seed_policy() const { return seed_policy_; }
   const ProbeFn& probe() const { return probe_; }
 
  private:
@@ -104,7 +97,6 @@ class ScenarioSpec {
   std::vector<std::function<void(sim::TrainingConfig&)>> mutations_;
   int iterations_ = 1;
   std::uint64_t seed_ = 42;
-  SeedPolicy seed_policy_ = SeedPolicy::kShared;
   ProbeFn probe_;
 };
 

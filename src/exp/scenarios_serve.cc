@@ -11,8 +11,8 @@
 //
 // Points are built directly as SweepPoints (ServeConfig rides in
 // SweepPoint::serve); the steady sweep derives per-point seeds from
-// (base, index) exactly like SweepSpec's kPerPoint policy, so sharded and
-// multi-job runs stay bit-identical.
+// (base, index) with derive_point_seed, so sharded and multi-job runs stay
+// bit-identical.
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -96,8 +96,8 @@ ScenarioResult run_serve_steady(const RunContext& ctx) {
   for (std::size_t i = 0; i < rates.size(); ++i) {
     serve::ServeConfig scfg;
     scfg.arrival_rate_hz = rates[i];
-    // Per-point seeds from (base, index), the kPerPoint discipline: point
-    // results are independent of grid slicing, sharding, and job count.
+    // Per-point seeds from (base, index): point results are independent of
+    // grid slicing, sharding, and job count.
     points.push_back(serve_point(i, printf_str("%g req/s", rates[i]),
                                  serve_cluster(), scfg,
                                  derive_point_seed(kServeBaseSeed, i)));

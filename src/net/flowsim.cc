@@ -14,7 +14,13 @@ namespace {
 constexpr Bytes kCompletionEps = 0.5;
 }  // namespace
 
-FlowSim::FlowSim(eventsim::Simulator& sim, const Network& net) : sim_(sim), net_(net) {}
+FlowSim::FlowSim(eventsim::Simulator& sim, const Network& net)
+    : sim_(sim),
+      net_(net),
+      link_flow_count_(net.link_count(), 0),
+      link_in_use_(net.link_count(), 0),
+      rem_cap_(net.link_count(), 0.0),
+      unfrozen_count_(net.link_count(), 0) {}
 
 FlowId FlowSim::start_flow(FlowSpec spec) {
   assert((spec.src == spec.dst) == spec.path.empty());
@@ -36,6 +42,9 @@ FlowId FlowSim::start_flow(FlowSpec spec) {
     return id;
   }
 
+  assert(std::all_of(spec.path.begin(), spec.path.end(), [&](LinkId lid) {
+    return lid >= 0 && static_cast<std::size_t>(lid) < link_flow_count_.size();
+  }));
   advance_progress();
   const auto slot = static_cast<std::uint32_t>(remaining_.size());
   id_to_slot_.push_back(slot);
@@ -61,38 +70,12 @@ FlowId FlowSim::start_flow(FlowSpec spec) {
   return id;
 }
 
-bool FlowSim::cancel_flow(FlowId id) {
-  if (id <= 0 || static_cast<std::size_t>(id) > id_to_slot_.size()) return false;
-  const std::uint32_t slot = id_to_slot_[static_cast<std::size_t>(id - 1)];
-  if (slot == kNoSlot || !alive_[slot]) return false;
-  advance_progress();
-  remove_flow_from_links(slot);
-  alive_[slot] = 0;
-  on_complete_[slot] = nullptr;
-  --n_live_;
-  dirty_ = true;
-  schedule_commit();
-  return true;
-}
-
-void FlowSim::on_topology_change() {
-  advance_progress();
-  dirty_ = true;
-  schedule_commit();
-}
-
 Bps FlowSim::flow_rate(FlowId id) {
   ensure_rates();
   if (id <= 0 || static_cast<std::size_t>(id) > id_to_slot_.size()) return 0.0;
   const std::uint32_t slot = id_to_slot_[static_cast<std::size_t>(id - 1)];
   if (slot == kNoSlot || !alive_[slot]) return 0.0;
   return rate_[slot];
-}
-
-Bps FlowSim::link_throughput(LinkId id) {
-  ensure_rates();
-  const auto i = static_cast<std::size_t>(id);
-  return i < link_rate_.size() ? link_rate_[i] : 0.0;
 }
 
 void FlowSim::compact_active() {
@@ -137,19 +120,7 @@ void FlowSim::schedule_commit() {
   });
 }
 
-void FlowSim::ensure_link_arrays() {
-  const std::size_t n = net_.link_count();
-  if (link_flow_count_.size() < n) {
-    link_flow_count_.resize(n, 0);
-    link_rate_.resize(n, 0.0);
-    link_in_use_.resize(n, 0);
-    rem_cap_.resize(n, 0.0);
-    unfrozen_count_.resize(n, 0);
-  }
-}
-
 void FlowSim::add_flow_to_links(std::uint32_t slot) {
-  ensure_link_arrays();
   for (const LinkId* p = path_begin(slot); p != path_end(slot); ++p) {
     const auto i = static_cast<std::size_t>(*p);
     if (++link_flow_count_[i] == 1 && !link_in_use_[i]) {
@@ -169,15 +140,13 @@ void FlowSim::remove_flow_from_links(std::uint32_t slot) {
 
 void FlowSim::solve_rates() {
   // Progressive filling over the links actually in use. The used-link set is
-  // maintained incrementally by start/cancel/completion; here only links
-  // whose membership changed are (re)initialized, and links that lost their
-  // last flow are compacted out.
-  ensure_link_arrays();
+  // maintained incrementally by start/completion; here only links whose
+  // membership changed are (re)initialized, and links that lost their last
+  // flow are compacted out.
   compact_active();
   std::size_t w = 0;
   for (LinkId lid : used_links_) {
     const auto i = static_cast<std::size_t>(lid);
-    link_rate_[i] = 0.0;
     if (link_flow_count_[i] <= 0) {
       link_in_use_[i] = 0;
       continue;
@@ -202,7 +171,7 @@ void FlowSim::solve_rates() {
         break;
       }
     }
-    if (stalled) continue;  // rate stays 0 until topology change
+    if (stalled) continue;  // frozen fabric: the flow never completes
     unfrozen.push_back(slot);
     for (const LinkId* p = path_begin(slot); p != path_end(slot); ++p)
       ++unfrozen_count_[static_cast<std::size_t>(*p)];
@@ -248,91 +217,12 @@ void FlowSim::solve_rates() {
         rem_cap_[li] -= min_share;
         if (rem_cap_[li] < 0.0) rem_cap_[li] = 0.0;
         --unfrozen_count_[li];
-        link_rate_[li] += min_share;  // O(1) throughput index
       }
       froze_any = true;
     }
     unfrozen.resize(keep);
     if (!froze_any) break;  // numerical guard; should not happen
   }
-}
-
-std::unordered_map<FlowId, Bps> FlowSim::reference_rates() const {
-  // The original full re-solve: fresh dense working state sized to the whole
-  // network, no incremental bookkeeping. Kept as the oracle the fast path is
-  // validated against. Iterates flows in the same insertion order as the
-  // fast path so a rate comparison is exact, not merely within tolerance.
-  const std::size_t n_links = net_.link_count();
-  std::vector<double> rem_cap(n_links, 0.0);
-  std::vector<std::int32_t> unfrozen_count(n_links, 0);
-  std::unordered_map<FlowId, Bps> rates;
-  rates.reserve(n_live_);
-
-  std::vector<std::uint32_t> unfrozen;
-  unfrozen.reserve(n_live_);
-  for (std::uint32_t slot : active_) {
-    if (!alive_[slot]) continue;
-    rates[flow_id_[slot]] = 0.0;
-    bool stalled = false;
-    for (const LinkId* p = path_begin(slot); p != path_end(slot); ++p) {
-      const Link& l = net_.link(*p);
-      if (!l.up || l.capacity <= 0.0) {
-        stalled = true;
-        break;
-      }
-    }
-    if (stalled) continue;
-    unfrozen.push_back(slot);
-    for (const LinkId* p = path_begin(slot); p != path_end(slot); ++p)
-      ++unfrozen_count[static_cast<std::size_t>(*p)];
-  }
-  std::vector<LinkId> active_links;
-  for (std::size_t lid = 0; lid < n_links; ++lid) {
-    if (unfrozen_count[lid] > 0) {
-      rem_cap[lid] = net_.link(static_cast<LinkId>(lid)).capacity;
-      active_links.push_back(static_cast<LinkId>(lid));
-    }
-  }
-
-  while (!unfrozen.empty()) {
-    double min_share = std::numeric_limits<double>::infinity();
-    for (LinkId lid : active_links) {
-      const auto i = static_cast<std::size_t>(lid);
-      if (unfrozen_count[i] <= 0) continue;
-      min_share = std::min(min_share, rem_cap[i] / unfrozen_count[i]);
-    }
-    if (!std::isfinite(min_share)) break;
-    if (min_share < 0.0) min_share = 0.0;
-
-    bool froze_any = false;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < unfrozen.size(); ++i) {
-      const std::uint32_t slot = unfrozen[i];
-      bool bottlenecked = false;
-      for (const LinkId* p = path_begin(slot); p != path_end(slot); ++p) {
-        const auto li = static_cast<std::size_t>(*p);
-        if (rem_cap[li] / unfrozen_count[li] <= min_share * (1.0 + 1e-12)) {
-          bottlenecked = true;
-          break;
-        }
-      }
-      if (!bottlenecked) {
-        unfrozen[keep++] = slot;
-        continue;
-      }
-      rates[flow_id_[slot]] = min_share;
-      for (const LinkId* p = path_begin(slot); p != path_end(slot); ++p) {
-        const auto li = static_cast<std::size_t>(*p);
-        rem_cap[li] -= min_share;
-        if (rem_cap[li] < 0.0) rem_cap[li] = 0.0;
-        --unfrozen_count[li];
-      }
-      froze_any = true;
-    }
-    unfrozen.resize(keep);
-    if (!froze_any) break;
-  }
-  return rates;
 }
 
 void FlowSim::schedule_next_completion() {

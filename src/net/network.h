@@ -3,8 +3,9 @@
 // The graph is deliberately dumb: topology builders (src/topo) create it,
 // the router (src/net/routing.h) computes paths over it, and the flow
 // simulator (src/net/flowsim.h) moves bytes across it. Links can be
-// re-capacitated or brought up/down at runtime, which is how OCS
-// reconfiguration is expressed.
+// re-capacitated or brought up/down between network phases, which is how
+// OCS reconfiguration is expressed; a phase's transports see the network
+// only by const reference (DESIGN.md §6).
 #pragma once
 
 #include <cstdint>
@@ -71,7 +72,8 @@ class Network {
   /// Change a link's capacity (e.g. splitting bandwidth across ports).
   void set_capacity(LinkId id, Bps capacity);
 
-  /// Bring a link up or down (OCS circuits are down while reconfiguring).
+  /// Bring a link up or down (a torn-down OCS circuit stays in the graph,
+  /// down).
   void set_up(LinkId id, bool up);
 
   bool is_up(LinkId id) const { return links_[static_cast<std::size_t>(id)].up; }

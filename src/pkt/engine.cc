@@ -43,7 +43,6 @@ TimeNs Engine::next_time() const {
 }
 
 const std::vector<Completion>& Engine::advance(TimeNs limit) {
-  if (net_.version() != net_version_) refresh_link_params();
   completions_.clear();
   const TimeNs rel_limit = limit >= kTimeInf ? kTimeInf : limit - base_;
   while (completions_.empty()) {
@@ -201,26 +200,12 @@ void Engine::ensure_link(net::LinkId lid) {
   const auto need = static_cast<std::size_t>(lid) + 1;
   if (links_.size() < need) links_.resize(need);
   LinkState& ls = links_[static_cast<std::size_t>(lid)];
+  if (ls.tx_mtu >= 0) return;  // already read: the fabric is frozen
   const net::Link& link = net_.link(lid);
   ls.cap = link.capacity;
   ls.delay = link.delay;
   ls.tx_mtu = transmission_time(cfg_.mtu_bytes, link.capacity);
   update_horizon(ls);
-  net_version_ = net_.version();
-}
-
-void Engine::refresh_link_params() {
-  // Link ids are dense vector indices, so every slot below the table size
-  // is a valid link (ensure_link only ever grew to a registered id).
-  for (std::size_t l = 0; l < links_.size(); ++l) {
-    LinkState& ls = links_[l];
-    const net::Link& link = net_.link(static_cast<net::LinkId>(l));
-    ls.cap = link.capacity;
-    ls.delay = link.delay;
-    ls.tx_mtu = transmission_time(cfg_.mtu_bytes, link.capacity);
-    update_horizon(ls);
-  }
-  net_version_ = net_.version();
 }
 
 void Engine::update_horizon(const LinkState& ls) {

@@ -34,7 +34,9 @@
 //
 // All internal times are relative to the first add_flow() so they pack
 // into 41 bits (~36 virtual minutes per engine — transports are per-phase,
-// phases are milliseconds).
+// phases are milliseconds). A phase runs on a frozen fabric (DESIGN.md §6):
+// the engine holds the network by const reference and reads each link's
+// parameters once, when a flow first crosses it.
 //
 // The engine owns no clock: the PacketTransport adapter drains it against
 // the eventsim::Simulator horizon (see pkt/transport.h). tests/pkt_test.cc
@@ -141,14 +143,13 @@ class Engine {
   // the last packet scheduled on it — fully determines every later
   // departure. Capacity, delay and the MTU serialization time are cached
   // here because net::Link carries a label string — touching it per
-  // scheduled packet is a guaranteed cache miss. The cache is refreshed
-  // whenever Network::version() moves (OCS reconfiguration re-capacitates
-  // links at runtime), checked once per advance() call; rates apply to
-  // packets scheduled after the refresh.
+  // scheduled packet is a guaranteed cache miss. They are read once, when
+  // a flow first crosses the link (tx_mtu < 0 until then): an engine lives
+  // for one phase, and a phase never changes the fabric (DESIGN.md §6).
   struct LinkState {
     TimeNs clear = 0;
     TimeNs delay = 0;
-    TimeNs tx_mtu = 0;
+    TimeNs tx_mtu = -1;
     Bps cap = 0.0;
   };
   static_assert(sizeof(LinkState) == 32, "two links per cache line");
@@ -159,7 +160,6 @@ class Engine {
   void inject(PktFlowId f, TimeNs t);
   void schedule(net::LinkId lid, std::int32_t slot, TimeNs t);
   void ensure_link(net::LinkId lid);
-  void refresh_link_params();
   void update_horizon(const LinkState& ls);
 
   void wheel_insert(TimeNs at, std::int32_t slot);
@@ -176,7 +176,6 @@ class Engine {
   std::vector<FlowState> flows_;
   std::vector<net::LinkId> path_pool_;
   std::vector<LinkState> links_;  // indexed by LinkId; grown on demand
-  std::uint64_t net_version_ = ~std::uint64_t{0};
 
   Slab<PacketSlot> slab_;
 

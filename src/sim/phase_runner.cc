@@ -18,7 +18,8 @@ std::uint64_t bytes_hash(Bytes b) {
 }
 }  // namespace
 
-PhaseRunner::PhaseRunner(topo::Fabric& fabric, collective::EngineConfig ecfg,
+PhaseRunner::PhaseRunner(const topo::Fabric& fabric,
+                         collective::EngineConfig ecfg,
                          std::size_t cache_capacity, net::NetBackend backend,
                          pkt::PacketConfig pkt)
     : fabric_(fabric),

@@ -9,7 +9,10 @@
 //
 // Each call spins up a fresh event simulator + flow simulator + collective
 // engine over the shared Network, runs the requested collective, and returns
-// the completion time.
+// the completion time. PhaseRunner, the collective engine and every
+// transport hold the fabric by const reference, so a phase cannot change
+// the fabric it runs on: OCS reconfiguration and failure injection happen
+// between phases, through the fabric's owner.
 //
 // Phase results are memoized (DESIGN.md §6): the key is (phase kind,
 // topology epoch, participant set, 64-bit demand hash), so a phase whose
@@ -50,7 +53,10 @@ class PhaseRunner {
  public:
   /// `backend` selects the fidelity-ladder rung each phase is simulated on
   /// (DESIGN.md §12); `pkt` tunes the packet engine when backend == kPacket.
-  explicit PhaseRunner(topo::Fabric& fabric, collective::EngineConfig ecfg = {},
+  /// The fabric is read-only here: a phase never changes it, and the
+  /// caller's mutations between phases move its epoch.
+  explicit PhaseRunner(const topo::Fabric& fabric,
+                       collective::EngineConfig ecfg = {},
                        std::size_t cache_capacity = 1024,
                        net::NetBackend backend = net::NetBackend::kFlow,
                        pkt::PacketConfig pkt = {});
@@ -109,7 +115,7 @@ class PhaseRunner {
   template <typename LaunchFn>
   TimeNs cached_phase(const char* label, CacheKey key, LaunchFn&& launch);
 
-  topo::Fabric& fabric_;
+  const topo::Fabric& fabric_;
   collective::EngineConfig ecfg_;
   net::NetBackend backend_;
   pkt::PacketConfig pkt_;

@@ -251,18 +251,18 @@ IterationResult TrainingSimulator::run_iteration() {
       dag::TaskId prev = -1;
       // PP receive dependency from the previous stage.
       if (s > 0) {
-        dag::TaskId send = graph.add({"pp-send", pp_time, nullptr, -1, 0, {}});
+        dag::TaskId send = graph.add({"pp-send", pp_time, -1, 0, {}});
         graph.add_dep(send, fwd_tail[static_cast<std::size_t>(s - 1)]
                                     [static_cast<std::size_t>(m)]);
         prev = send;
       }
       for (int l = 0; l < lps; ++l) {
         const auto lu = static_cast<std::size_t>(l);
-        chain(prev, {"attn+gate", comp1, nullptr, s, 0, {}});
-        chain(prev, {"a2a1", blocked_fp[lu] + a2a[lu], nullptr, s, 0, {}});
-        chain(prev, {"expert", comp_exp, nullptr, s, 0, {}});
-        chain(prev, {"a2a2", a2a[lu], nullptr, s, 0, {}});
-        chain(prev, {"add&norm", comp_norm, nullptr, s, 0, {}});
+        chain(prev, {"attn+gate", comp1, s, 0, {}});
+        chain(prev, {"a2a1", blocked_fp[lu] + a2a[lu], s, 0, {}});
+        chain(prev, {"expert", comp_exp, s, 0, {}});
+        chain(prev, {"a2a2", a2a[lu], s, 0, {}});
+        chain(prev, {"add&norm", comp_norm, s, 0, {}});
       }
       fwd_tail[static_cast<std::size_t>(s)][static_cast<std::size_t>(m)] = prev;
     }
@@ -273,7 +273,7 @@ IterationResult TrainingSimulator::run_iteration() {
       dag::TaskId head_dep =
           fwd_tail[static_cast<std::size_t>(s)][static_cast<std::size_t>(m)];
       if (s < stages - 1) {
-        dag::TaskId send = graph.add({"pp-send-grad", pp_time, nullptr, -1, 1, {}});
+        dag::TaskId send = graph.add({"pp-send-grad", pp_time, -1, 1, {}});
         graph.add_dep(send, bwd_tail[static_cast<std::size_t>(s + 1)]
                                     [static_cast<std::size_t>(m)]);
         prev = send;
@@ -281,15 +281,15 @@ IterationResult TrainingSimulator::run_iteration() {
       bool first = true;
       for (int l = lps - 1; l >= 0; --l) {
         const auto lu = static_cast<std::size_t>(l);
-        dag::TaskId id = chain(prev, {"bwd-norm", scale(comp_norm), nullptr, s, 1, {}});
+        dag::TaskId id = chain(prev, {"bwd-norm", scale(comp_norm), s, 1, {}});
         if (first) {
           graph.add_dep(id, head_dep);  // needs this micro-batch's forward
           first = false;
         }
-        chain(prev, {"bwd-a2a2", blocked_bp[lu] + a2a[lu], nullptr, s, 1, {}});
-        chain(prev, {"bwd-expert", scale(comp_exp), nullptr, s, 1, {}});
-        chain(prev, {"bwd-a2a1", a2a[lu], nullptr, s, 1, {}});
-        chain(prev, {"bwd-attn", scale(comp1), nullptr, s, 1, {}});
+        chain(prev, {"bwd-a2a2", blocked_bp[lu] + a2a[lu], s, 1, {}});
+        chain(prev, {"bwd-expert", scale(comp_exp), s, 1, {}});
+        chain(prev, {"bwd-a2a1", a2a[lu], s, 1, {}});
+        chain(prev, {"bwd-attn", scale(comp1), s, 1, {}});
       }
       bwd_tail[static_cast<std::size_t>(s)][static_cast<std::size_t>(m)] = prev;
     }
@@ -297,7 +297,7 @@ IterationResult TrainingSimulator::run_iteration() {
   // DP all-reduce per stage after its last backward micro-batch.
   if (dp_time > 0) {
     for (int s = 0; s < stages; ++s) {
-      dag::TaskId ar = graph.add({"dp-allreduce", dp_time, nullptr, -1, 2, {}});
+      dag::TaskId ar = graph.add({"dp-allreduce", dp_time, -1, 2, {}});
       graph.add_dep(ar, bwd_tail[static_cast<std::size_t>(s)]
                                 [static_cast<std::size_t>(micro - 1)]);
     }

@@ -487,22 +487,10 @@ int Fabric::apply_circuits(int region, const Matrix& counts) {
         net_.set_up(it->second.rev, true);
         it->second.count = want;
         ++touched;
-      } else if (!net_.is_up(it->second.fwd)) {
-        net_.set_up(it->second.fwd, true);
-        net_.set_up(it->second.rev, true);
-        ++touched;
       }
     }
   }
   return touched;
-}
-
-void Fabric::set_region_circuits_up(int region, bool up) {
-  for (auto& [key, pair] : circuits_[static_cast<std::size_t>(region)]) {
-    if (pair.count <= 0) continue;
-    net_.set_up(pair.fwd, up);
-    net_.set_up(pair.rev, up);
-  }
 }
 
 net::LinkId Fabric::circuit_link(int region, int i, int j) const {

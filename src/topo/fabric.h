@@ -173,9 +173,9 @@ class Fabric {
   const net::Network& network() const { return net_; }
 
   /// Monotonically increasing topology epoch. Bumped by every fabric link
-  /// mutation: apply_circuits / set_region_circuits_up, failure injection,
-  /// and any link/node addition or capacity/up-down change applied directly
-  /// to the underlying Network (it delegates to Network::version(), so
+  /// mutation: apply_circuits, failure injection, and any link/node
+  /// addition or capacity/up-down change applied directly to the underlying
+  /// Network (it delegates to Network::version(), so
   /// mutations that bypass Fabric's own mutators are observed too). Callers
   /// key cached network-dependent results — phase durations, routes — on
   /// this value to detect staleness; see sim::PhaseRunner.
@@ -224,9 +224,6 @@ class Fabric {
   /// not present in `counts` are torn down. Row sums must not exceed the
   /// optical degree. Returns the number of link objects touched.
   int apply_circuits(int region, const Matrix& counts);
-
-  /// Bring every circuit of a region down/up (OCS dark during reconfig).
-  void set_region_circuits_up(int region, bool up);
 
   /// Aggregated circuit link from region-local server i to j (direction i->j),
   /// or kInvalidLink when no circuit exists.

@@ -5,6 +5,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -52,11 +54,20 @@ ScenarioSpec tiny_spec() {
       .link_gbps(100.0);
 }
 
-Sweep tiny_sweep() {
-  return SweepSpec(tiny_spec().iterations(2).seed_policy(SeedPolicy::kPerPoint))
-      .fabrics({topo::FabricKind::kFatTree, topo::FabricKind::kMixNet})
-      .bandwidths({100.0, 200.0, 400.0})
-      .expand();
+// Per-point seeds from (base seed, point index), assigned on the expanded
+// points the way the serve scenarios do.
+std::vector<SweepPoint> with_point_seeds(const Sweep& sweep) {
+  std::vector<SweepPoint> points = sweep.points();
+  for (SweepPoint& p : points) p.cfg.seed = derive_point_seed(p.cfg.seed, p.index);
+  return points;
+}
+
+std::vector<SweepPoint> tiny_sweep() {
+  return with_point_seeds(
+      SweepSpec(tiny_spec().iterations(2))
+          .fabrics({topo::FabricKind::kFatTree, topo::FabricKind::kMixNet})
+          .bandwidths({100.0, 200.0, 400.0})
+          .expand());
 }
 
 void expect_identical(const PointResult& a, const PointResult& b) {
@@ -149,18 +160,18 @@ TEST(CanonicalWriter, DoubleRoundTripsAllSeventeenDigits) {
 // ------------------------------------------------------------ cache key ----
 
 TEST(CacheKey, StableAcrossCallsAndProcessRestarts) {
-  const Sweep sweep = tiny_sweep();
-  const std::string k0 = point_cache_key("figX", sweep.points()[0]);
+  const std::vector<SweepPoint> sweep = tiny_sweep();
+  const std::string k0 = point_cache_key("figX", sweep[0]);
   EXPECT_EQ(k0.size(), 32u);
   // Same spec re-expanded from scratch: identical key (nothing run-dependent
   // -- no pointers, no timestamps -- feeds the digest).
-  const Sweep again = tiny_sweep();
-  EXPECT_EQ(point_cache_key("figX", again.points()[0]), k0);
+  const std::vector<SweepPoint> again = tiny_sweep();
+  EXPECT_EQ(point_cache_key("figX", again[0]), k0);
 }
 
 TEST(CacheKey, SemanticChangesProduceNewKeys) {
-  const Sweep sweep = tiny_sweep();
-  const SweepPoint& p = sweep.points()[0];
+  const std::vector<SweepPoint> sweep = tiny_sweep();
+  const SweepPoint& p = sweep[0];
   const std::string base = point_cache_key("figX", p);
 
   std::set<std::string> keys = {base};
@@ -204,8 +215,8 @@ TEST(CacheKey, SemanticChangesProduceNewKeys) {
 // ---------------------------------------------------------- record round ----
 
 TEST(PointRecord, JsonRoundTripIsBitExact) {
-  const Sweep sweep = tiny_sweep();
-  const PointResult run = run_point(sweep.points()[2]);
+  const std::vector<SweepPoint> sweep = tiny_sweep();
+  const PointResult run = run_point(sweep[2]);
   PointResult decorated = run;
   decorated.extra["locality"] = 0.1 + 0.2;
   decorated.extra["servers"] = 4.0;
@@ -234,13 +245,13 @@ TEST(PointRecord, MalformedLinesAreMissesNotErrors) {
 
 TEST(ResultCache, PersistsAcrossInstancesLikeARestart) {
   TempCacheDir dir;
-  const Sweep sweep = tiny_sweep();
-  const std::string key = point_cache_key("figX", sweep.points()[0]);
-  const PointResult run = run_point(sweep.points()[0]);
+  const std::vector<SweepPoint> sweep = tiny_sweep();
+  const std::string key = point_cache_key("figX", sweep[0]);
+  const PointResult run = run_point(sweep[0]);
   {
     ResultCache cache(dir.path);
     EXPECT_FALSE(cache.lookup("figX", key).has_value());
-    cache.put("figX", key, run, sweep.points()[0].labels);
+    cache.put("figX", key, run, sweep[0].labels);
     const auto hit = cache.lookup("figX", key);
     ASSERT_TRUE(hit.has_value());
     expect_identical(*hit, run);
@@ -258,9 +269,9 @@ TEST(ResultCache, PersistsAcrossInstancesLikeARestart) {
 
 TEST(ResultCache, CorruptLinesAreSkippedGoodOnesSurvive) {
   TempCacheDir dir;
-  const Sweep sweep = tiny_sweep();
-  const std::string key = point_cache_key("figX", sweep.points()[0]);
-  const PointResult run = run_point(sweep.points()[0]);
+  const std::vector<SweepPoint> sweep = tiny_sweep();
+  const std::string key = point_cache_key("figX", sweep[0]);
+  const PointResult run = run_point(sweep[0]);
   {
     ResultCache cache(dir.path);
     cache.put("figX", key, run, {});
@@ -277,12 +288,62 @@ TEST(ResultCache, CorruptLinesAreSkippedGoodOnesSurvive) {
   expect_identical(*hit, run);
 }
 
+TEST(ResultCache, HostileRecordsAreMissesAndTheirPointsRecompute) {
+  TempCacheDir dir;
+  const std::vector<SweepPoint> sweep = tiny_sweep();
+  RunContext ctx;
+  ctx.scenario = "figX";
+  std::vector<PointResult> cold;
+  {
+    ResultCache cache(dir.path);
+    ctx.cache = &cache;
+    cold = run_sweep(sweep, ctx);
+  }
+  // Mangle the number in point 0's record ("39.05" -> "3-9.05", which a
+  // loose number scanner reads as 3), then append a line nested a million
+  // levels deep.
+  const std::string path = dir.path + "/figX.jsonl";
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), sweep.size());
+  const std::string key0 = point_cache_key("figX", sweep[0]);
+  bool mangled = false;
+  for (std::string& line : lines) {
+    if (line.find(key0) == std::string::npos) continue;
+    const std::size_t at = line.find("\"iter_sec\":");
+    ASSERT_NE(at, std::string::npos);
+    line.insert(at + std::strlen("\"iter_sec\":") + 1, "-");
+    mangled = true;
+  }
+  ASSERT_TRUE(mangled);
+  {
+    std::ofstream out(path, std::ios::trunc);
+    for (const std::string& line : lines) out << line << '\n';
+    out << std::string(1'000'000, '[') << '\n';
+  }
+
+  ResultCache cache(dir.path);
+  EXPECT_FALSE(cache.lookup("figX", key0).has_value());
+  ctx.cache = &cache;
+  SweepStats stats;
+  ctx.stats = &stats;
+  const auto warm = run_sweep(sweep, ctx);
+  EXPECT_EQ(stats.computed, 1u);
+  EXPECT_EQ(stats.hits, sweep.size() - 1);
+  EXPECT_FALSE(warm[0].from_cache);
+  ASSERT_EQ(warm.size(), cold.size());
+  for (std::size_t i = 0; i < warm.size(); ++i) expect_identical(warm[i], cold[i]);
+}
+
 // ------------------------------------------------------------- engine ------
 
 TEST(SweepEngine, WarmRunIsAllHitsAndBitIdentical) {
   TempCacheDir dir;
   ResultCache cache(dir.path);
-  const Sweep sweep = tiny_sweep();
+  const std::vector<SweepPoint> sweep = tiny_sweep();
 
   RunContext ctx;
   ctx.scenario = "figX";
@@ -306,7 +367,7 @@ TEST(SweepEngine, WarmRunIsAllHitsAndBitIdentical) {
 }
 
 TEST(SweepEngine, ShardedRunsMergeBitIdenticalToSerial) {
-  const Sweep sweep = tiny_sweep();
+  const std::vector<SweepPoint> sweep = tiny_sweep();
   const auto serial = run_sweep(sweep, RunContext{});
 
   for (const int n_shards : {2, 3, 8}) {
@@ -353,7 +414,7 @@ TEST(SweepEngine, ShardedRunsMergeBitIdenticalToSerial) {
 
 TEST(SweepEngine, ResumeAfterKillRecomputesOnlyUnfinishedPoints) {
   TempCacheDir dir;
-  const Sweep sweep = tiny_sweep();
+  const std::vector<SweepPoint> sweep = tiny_sweep();
   {
     // "Killed" campaign: only shard 0 of 2 ever ran.
     ResultCache cache(dir.path);
@@ -456,17 +517,15 @@ TEST(SweepEngine, ParallelStreamingMatchesSerialBitExactly) {
   // threads while other workers execute, plus per-slot error capture for
   // the points that throw -- so the TSan CI job (DESIGN.md §10) observes
   // every shared write the streaming path performs.
-  const Sweep sweep =
-      SweepSpec(tiny_spec()
-                    .iterations(1)
-                    .seed_policy(SeedPolicy::kPerPoint)
-                    .probe([](sim::TrainingSimulator& simulator, PointResult&) {
+  const std::vector<SweepPoint> sweep = with_point_seeds(
+      SweepSpec(tiny_spec().iterations(1).probe(
+                    [](sim::TrainingSimulator& simulator, PointResult&) {
                       if (simulator.config().nic_gbps == 200.0)
                         throw std::runtime_error("probe exploded");
                     }))
           .fabrics({topo::FabricKind::kFatTree, topo::FabricKind::kMixNet})
           .bandwidths({100.0, 200.0, 400.0})
-          .expand();
+          .expand());
 
   RunContext serial_ctx;
   serial_ctx.scenario = "figX";

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "collective/engine.h"
 #include "eventsim/simulator.h"
@@ -11,6 +12,8 @@
 namespace mixnet::collective {
 namespace {
 
+// One phase on a frozen fabric: circuits are installed before the harness
+// is built (see build_with_circuits), never while its flow simulator exists.
 struct Harness {
   topo::Fabric fabric;
   eventsim::Simulator sim;
@@ -18,12 +21,14 @@ struct Harness {
   net::EcmpRouter router;
   Engine engine;
 
-  explicit Harness(topo::FabricConfig cfg, EngineConfig ecfg = {})
-      : fabric(topo::Fabric::build(cfg)),
+  explicit Harness(topo::Fabric built, EngineConfig ecfg = {})
+      : fabric(std::move(built)),
         flows(sim, fabric.network()),
         router(fabric.network(), 256,
-               cfg.kind == topo::FabricKind::kTopoOpt),
+               fabric.config().kind == topo::FabricKind::kTopoOpt),
         engine(sim, fabric, flows, router, ecfg) {}
+  explicit Harness(const topo::FabricConfig& cfg, EngineConfig ecfg = {})
+      : Harness(topo::Fabric::build(cfg), ecfg) {}
 
   TimeNs run(std::function<void(Engine&, Engine::Callback)> launch) {
     TimeNs done = -1;
@@ -41,6 +46,12 @@ topo::FabricConfig fat_tree(int servers, double gbps_ = 100.0) {
 topo::FabricConfig mixnet(int servers, int region, double gbps_ = 100.0) {
   return topo::FabricConfig::mixnet(servers).with_nic_gbps(gbps_).with_region_servers(
       region);
+}
+
+topo::Fabric build_with_circuits(const topo::FabricConfig& cfg, const Matrix& counts) {
+  auto fabric = topo::Fabric::build(cfg);
+  fabric.apply_circuits(0, counts);
+  return fabric;
 }
 
 TEST(Engine, SendMatchesSingleNicThroughput) {
@@ -106,12 +117,10 @@ TEST(Engine, AllToAllDirectUniform) {
 }
 
 TEST(Engine, MixNetAllToAllUsesCircuits) {
-  auto cfg = mixnet(4, 4);
-  Harness h(cfg);
   // Hot pair (0,1): give it circuits; cold pairs fall back to EPS.
   Matrix counts(4, 4, 0.0);
   counts(0, 1) = counts(1, 0) = 6;
-  h.fabric.apply_circuits(0, counts);
+  Harness h(build_with_circuits(mixnet(4, 4), counts));
   Matrix bytes(4, 4, 0.0);
   bytes(0, 1) = mib(600);  // hot
   bytes(2, 3) = mib(8);    // cold, via EPS
@@ -127,12 +136,9 @@ TEST(Engine, MixNetAllToAllUsesCircuits) {
 TEST(Engine, MixNetCircuitsBeatEpsFallbackForHotPair) {
   const Bytes hot = mib(600);
   auto run_with_circuits = [&](bool circuits) {
-    Harness h(mixnet(4, 4));
-    if (circuits) {
-      Matrix counts(4, 4, 0.0);
-      counts(0, 1) = counts(1, 0) = 6;
-      h.fabric.apply_circuits(0, counts);
-    }
+    Matrix counts(4, 4, 0.0);
+    if (circuits) counts(0, 1) = counts(1, 0) = 6;
+    Harness h(build_with_circuits(mixnet(4, 4), counts));
     Matrix bytes(4, 4, 0.0);
     bytes(0, 1) = hot;
     return h.run([&](Engine& e, Engine::Callback cb) {
@@ -182,7 +188,6 @@ TEST(Engine, RelayDetourSlowerThanDirect) {
 }
 
 TEST(Engine, TopoOptRoutesMultiHopOverCircuits) {
-  Harness h(topo::FabricConfig::topoopt(4).with_nic_gbps(100.0));
   // Ring circuits only: 0-1, 1-2, 2-3, 3-0.
   Matrix counts(4, 4, 0.0);
   for (int i = 0; i < 4; ++i) {
@@ -192,7 +197,8 @@ TEST(Engine, TopoOptRoutesMultiHopOverCircuits) {
     counts(static_cast<std::size_t>(std::max(i, j)),
            static_cast<std::size_t>(std::min(i, j))) = 1;
   }
-  h.fabric.apply_circuits(0, counts);
+  Harness h(build_with_circuits(
+      topo::FabricConfig::topoopt(4).with_nic_gbps(100.0), counts));
   // 0 -> 2 has no direct circuit; host forwarding makes it reachable.
   const TimeNs t = h.run([&](Engine& e, Engine::Callback cb) {
     e.send(0, 2, mib(10), std::move(cb));

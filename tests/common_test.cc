@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string>
 
+#include "common/json.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -355,6 +359,64 @@ TEST(Stats, EmpiricalCdfMonotone) {
 TEST(Stats, CoeffOfVariationZeroForConstant) {
   EXPECT_DOUBLE_EQ(coeff_of_variation({5, 5, 5}), 0.0);
   EXPECT_GT(coeff_of_variation({1, 9}), 0.5);
+}
+
+// ----------------------------------------------------------------- json ----
+
+std::string nested(const char* open, const char* close, int depth) {
+  std::string s;
+  for (int i = 0; i < depth; ++i) s += open;
+  s += "1";
+  for (int i = 0; i < depth; ++i) s += close;
+  return s;
+}
+
+TEST(Json, NestingPastTheLimitIsRejectedNotACrash) {
+  // A cache line of a million '[' used to recurse until the stack ran out.
+  EXPECT_FALSE(json::parse(std::string(1'000'000, '[')).has_value());
+  EXPECT_FALSE(json::parse(std::string(1'000'000, '[') + "1" +
+                           std::string(1'000'000, ']'))
+                   .has_value());
+  // The limit is exact, for arrays and objects alike.
+  EXPECT_TRUE(json::parse(nested("[", "]", json::kMaxDepth)).has_value());
+  EXPECT_FALSE(json::parse(nested("[", "]", json::kMaxDepth + 1)).has_value());
+  EXPECT_TRUE(json::parse(nested("{\"a\":", "}", json::kMaxDepth)).has_value());
+  EXPECT_FALSE(
+      json::parse(nested("{\"a\":", "}", json::kMaxDepth + 1)).has_value());
+}
+
+TEST(Json, MalformedNumbersAreRejected) {
+  // "3-9.04" used to parse as the token 3-9.04, which strtod reads as 3.
+  for (const char* bad : {"3-9.04", "1.2.3", "--1", "-", "+1", ".5", "1.", "01",
+                          "1e", "1e+", "1e5e5", "1-", "0x10", "1..2", "-.5"}) {
+    EXPECT_FALSE(json::parse(bad).has_value()) << bad;
+    const std::string member = std::string("{\"iter_sec\":") + bad + "}";
+    EXPECT_FALSE(json::parse(member).has_value()) << member;
+  }
+}
+
+TEST(Json, ValidNumberFormsRoundTripBitExactly) {
+  // Every %.17g form the cache writes, including negative exponents.
+  for (const double v : {0.1 + 0.2, 39.05, -1.196, 1.5e-7, -2.5e-05, 1e-300,
+                         5e-324, 1.7976931348623157e308, 1e21, 0.0, -0.0}) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    const auto doc = json::parse(buf);
+    ASSERT_TRUE(doc.has_value()) << buf;
+    ASSERT_TRUE(doc->is_number()) << buf;
+    const double back = doc->as_double();
+    EXPECT_EQ(std::memcmp(&back, &v, sizeof v), 0) << buf;
+  }
+  for (const char* ok : {"0", "-0", "7", "1E5", "1e+5", "2.5E-3", "-0.0e0"})
+    EXPECT_TRUE(json::parse(ok).has_value()) << ok;
+  // int64 and uint64 extremes keep their raw token, so they survive exactly.
+  const auto max = json::parse("9223372036854775807");
+  const auto min = json::parse("-9223372036854775808");
+  const auto umax = json::parse("18446744073709551615");
+  ASSERT_TRUE(max && min && umax);
+  EXPECT_EQ(max->as_i64(), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(min->as_i64(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(umax->as_u64(), std::numeric_limits<std::uint64_t>::max());
 }
 
 }  // namespace

@@ -121,24 +121,32 @@ TEST(SeedPolicy, SharedGivesEveryPointTheBaseSeed) {
   for (const auto& p : sweep.points()) EXPECT_EQ(p.cfg.seed, 1234u);
 }
 
+// Per-point seeds from (base seed, point index), assigned on the expanded
+// points the way the serve scenarios do.
+std::vector<SweepPoint> with_point_seeds(const Sweep& sweep) {
+  std::vector<SweepPoint> points = sweep.points();
+  for (SweepPoint& p : points) p.cfg.seed = derive_point_seed(p.cfg.seed, p.index);
+  return points;
+}
+
 TEST(SeedPolicy, PerPointSeedsAreDistinctAndReproducible) {
   auto expand = [](std::uint64_t base) {
-    return SweepSpec(tiny_spec().seed(base).seed_policy(SeedPolicy::kPerPoint))
-        .bandwidths({100.0, 200.0, 400.0, 800.0})
-        .expand();
+    return with_point_seeds(SweepSpec(tiny_spec().seed(base))
+                                .bandwidths({100.0, 200.0, 400.0, 800.0})
+                                .expand());
   };
-  const Sweep a = expand(1234);
-  const Sweep b = expand(1234);
-  const Sweep c = expand(99);
+  const auto a = expand(1234);
+  const auto b = expand(1234);
+  const auto c = expand(99);
 
   std::set<std::uint64_t> seen;
   for (std::size_t i = 0; i < a.size(); ++i) {
     // Derived purely from (base seed, point index): reproducible...
-    EXPECT_EQ(a.points()[i].cfg.seed, b.points()[i].cfg.seed);
-    EXPECT_EQ(a.points()[i].cfg.seed, derive_point_seed(1234, i));
+    EXPECT_EQ(a[i].cfg.seed, b[i].cfg.seed);
+    EXPECT_EQ(a[i].cfg.seed, derive_point_seed(1234, i));
     // ...distinct across points, and different under a different base.
-    EXPECT_TRUE(seen.insert(a.points()[i].cfg.seed).second);
-    EXPECT_NE(a.points()[i].cfg.seed, c.points()[i].cfg.seed);
+    EXPECT_TRUE(seen.insert(a[i].cfg.seed).second);
+    EXPECT_NE(a[i].cfg.seed, c[i].cfg.seed);
   }
 }
 
@@ -151,12 +159,11 @@ RunContext jobs_ctx(int jobs) {
 }
 
 TEST(SweepRunner, SerialAndParallelRunsProduceIdenticalResults) {
-  const Sweep sweep = SweepSpec(tiny_spec().iterations(2).seed_policy(
-                                    SeedPolicy::kPerPoint))
-                          .fabrics({topo::FabricKind::kFatTree,
-                                    topo::FabricKind::kMixNet})
-                          .bandwidths({100.0, 400.0})
-                          .expand();
+  const auto sweep = with_point_seeds(
+      SweepSpec(tiny_spec().iterations(2))
+          .fabrics({topo::FabricKind::kFatTree, topo::FabricKind::kMixNet})
+          .bandwidths({100.0, 400.0})
+          .expand());
   const auto serial = run_sweep(sweep, jobs_ctx(1));
   const auto parallel = run_sweep(sweep, jobs_ctx(3));
   ASSERT_EQ(serial.size(), parallel.size());

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
+#include "collective/engine.h"
 #include "cost/cost_model.h"
 #include "moe/traffic.h"
 #include "sim/phase_runner.h"
@@ -45,6 +48,35 @@ TEST(PhaseRunner, DpAllReduceConcurrentRings) {
 }
 
 // ------------------------------------------------- copilot plan rescale ----
+
+// A phase cannot change the fabric it runs on: the phase runner and the
+// collective engine hold it by const reference (DESIGN.md §6).
+static_assert(std::is_constructible_v<PhaseRunner, const topo::Fabric&>);
+static_assert(std::is_constructible_v<collective::Engine, eventsim::Simulator&,
+                                      const topo::Fabric&, net::Transport&,
+                                      net::EcmpRouter&>);
+
+TEST(PhaseRunner, PhasesLeaveTheFabricEpochUnchanged) {
+  for (const net::NetBackend backend :
+       {net::NetBackend::kAnalytic, net::NetBackend::kFlow,
+        net::NetBackend::kPacket}) {
+    auto fabric = topo::Fabric::build(topo::FabricConfig::mixnet(8));
+    Matrix counts(8, 8, 0.0);
+    counts(0, 1) = counts(1, 0) = 2;
+    counts(2, 5) = counts(5, 2) = 1;
+    ASSERT_GT(fabric.apply_circuits(0, counts), 0);
+    const std::uint64_t epoch = fabric.epoch();
+
+    PhaseRunner pr(fabric, {}, 16, backend);
+    const std::vector<int> group = {0, 1, 2, 3, 4, 5, 6, 7};
+    Matrix demand(8, 8, mib(1));
+    for (std::size_t i = 0; i < 8; ++i) demand(i, i) = 0.0;
+    EXPECT_GT(pr.ep_all_to_all(group, demand), 0) << to_string(backend);
+    EXPECT_GT(pr.send(0, 1, mib(1)), 0) << to_string(backend);
+    EXPECT_GT(pr.dp_all_reduce(4, 2, mib(1)), 0) << to_string(backend);
+    EXPECT_EQ(fabric.epoch(), epoch) << to_string(backend);
+  }
+}
 
 TEST(RescalePlanColumns, ColumnsScaledIndependently) {
   // 4 servers, one EP rank per server, 2 experts per rank.

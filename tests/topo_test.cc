@@ -136,19 +136,6 @@ TEST(Fabric, CircuitDegreeEnforced) {
   EXPECT_THROW(f.apply_circuits(0, counts), std::invalid_argument);
 }
 
-TEST(Fabric, RegionCircuitsDarkDuringReconfig) {
-  FabricConfig c = base_config(FabricKind::kMixNet, 8);
-  c.region_servers = 4;
-  Fabric f = Fabric::build(c);
-  Matrix counts(4, 4, 0.0);
-  counts(0, 1) = counts(1, 0) = 1;
-  f.apply_circuits(0, counts);
-  f.set_region_circuits_up(0, false);
-  EXPECT_EQ(f.circuit_link(0, 0, 1), net::kInvalidLink);
-  f.set_region_circuits_up(0, true);
-  EXPECT_NE(f.circuit_link(0, 0, 1), net::kInvalidLink);
-}
-
 TEST(Fabric, TopoOptHasNoEps) {
   Fabric f = Fabric::build(base_config(FabricKind::kTopoOpt, 8));
   EXPECT_FALSE(f.has_eps());
