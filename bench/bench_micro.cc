@@ -194,7 +194,7 @@ void BM_FabricBuild131k(benchmark::State& state) {
 BENCHMARK(BM_FabricBuild131k)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // GateSimulator hot paths. After the phase cache + incremental rate solver,
-// ~60% of figure-bench samples were gate RNG (refresh_distributions /
+// ~60% of figure-bench samples were gate RNG (GateSimulator::realize /
 // advance_state OU walks); the vectorized fill_normal/fill_gamma fast path
 // plus the closed-form warmup skip (advance_steps) are the response. These
 // cases track both: the per-iteration stepped path and the fast-forward
@@ -210,8 +210,7 @@ moe::GateConfig figure_gate_config() {
   return gc;
 }
 
-/// One full gate iteration: advance_state + refresh_distributions +
-/// realize_counts.
+/// One full gate iteration: advance_state + realize.
 void BM_GateStep(benchmark::State& state) {
   moe::GateSimulator gate(figure_gate_config());
   for (auto _ : state) {

@@ -70,7 +70,8 @@ int usage(const char* argv0, int code) {
       "  --shard I/N    execute only points with index %% N == I, streaming\n"
       "                 records into the cache; table output is suppressed\n"
       "                 (run 'merge' once all shards finish)\n"
-      "  --stats FILE   write per-scenario cache hit/miss stats as JSON\n"
+      "  --stats FILE   write per-scenario cache hit/miss and gate-trace\n"
+      "                 counts as JSON\n"
       "  --backend B    override the network fidelity ladder for every point\n"
       "                 (analytic, flow, packet; DESIGN.md §12). Scenarios\n"
       "                 that pin backends per point (e.g. fidelity-ladder)\n"
@@ -118,9 +119,10 @@ std::string stats_json_object(const std::string& name, const SweepStats& s) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "{\"name\":\"%s\",\"points\":%zu,\"hits\":%zu,"
-                "\"computed\":%zu,\"skipped\":%zu,\"failed\":%zu}",
+                "\"computed\":%zu,\"skipped\":%zu,\"failed\":%zu,"
+                "\"gate_traces\":%zu}",
                 name.c_str(), s.points, s.hits, s.computed, s.skipped,
-                s.failed);
+                s.failed, s.gate_traces);
   return buf;
 }
 
@@ -136,13 +138,14 @@ bool write_stats_file(const std::string& path,
     totals.computed += entries[i].stats.computed;
     totals.skipped += entries[i].stats.skipped;
     totals.failed += entries[i].stats.failed;
+    totals.gate_traces += entries[i].stats.gate_traces;
   }
-  char buf[192];
+  char buf[224];
   std::snprintf(buf, sizeof(buf),
                 "],\"totals\":{\"points\":%zu,\"hits\":%zu,\"computed\":%zu,"
-                "\"skipped\":%zu,\"failed\":%zu}}\n",
+                "\"skipped\":%zu,\"failed\":%zu,\"gate_traces\":%zu}}\n",
                 totals.points, totals.hits, totals.computed, totals.skipped,
-                totals.failed);
+                totals.failed, totals.gate_traces);
   out += buf;
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;

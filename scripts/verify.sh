@@ -114,11 +114,15 @@ for b in $smoke_benches; do
   hits=$(grep -o '"hits":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
   computed=$(grep -o '"computed":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
   points=$(grep -o '"points":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
+  # Gate traces built (DESIGN.md §7): one per distinct gate key among the
+  # computed training points, 0 on a warm cache.
+  traces=$(grep -o '"gate_traces":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
   awk -v d="$dur" -v n="$b" -v h="${hits:-0}" -v c="${computed:-0}" \
-    'BEGIN{printf "smoke %-28s %8.2f s  (cache: %d hits, %d computed)\n", n, d/1e9, h, c}'
+      -v g="${traces:-0}" \
+    'BEGIN{printf "smoke %-28s %8.2f s  (cache: %d hits, %d computed; %d gate traces)\n", n, d/1e9, h, c, g}'
   entry=$(awk -v d="$dur" -v n="$b" -v h="${hits:-0}" -v c="${computed:-0}" \
-      -v p="${points:-0}" \
-    'BEGIN{printf "{\"name\":\"%s\",\"seconds\":%.3f,\"cache\":{\"points\":%d,\"hits\":%d,\"computed\":%d}}", n, d/1e9, p, h, c}')
+      -v p="${points:-0}" -v g="${traces:-0}" \
+    'BEGIN{printf "{\"name\":\"%s\",\"seconds\":%.3f,\"cache\":{\"points\":%d,\"hits\":%d,\"computed\":%d},\"gate_traces\":%d}", n, d/1e9, p, h, c, g}')
   bench_json="${bench_json:+$bench_json,}$entry"
 done
 awk -v d="$total_ns" 'BEGIN{printf "smoke total bench wall time    %8.2f s\n", d/1e9}'

@@ -28,6 +28,9 @@ struct SweepStats {
   std::size_t computed = 0;  ///< executed in this process (includes failed)
   std::size_t skipped = 0;   ///< other shards' points, absent from the cache
   std::size_t failed = 0;    ///< executed points that threw
+  /// Gate traces built (one per distinct gate-trace key among the executed
+  /// training points of each run_sweep call; none for cache hits).
+  std::size_t gate_traces = 0;
   /// One human-readable line per failed point ("point #i (labels): what()").
   std::vector<std::string> failures;
 };

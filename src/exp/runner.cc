@@ -2,13 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <exception>
+#include <limits>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "exp/cache_key.h"
 #include "exp/result_cache.h"
 #include "serve/serve_sim.h"
+#include "sim/cluster.h"
 
 namespace mixnet::exp {
 
@@ -35,12 +40,13 @@ PointResult run_serve_point(const SweepPoint& point) {
 
 }  // namespace
 
-PointResult run_point(const SweepPoint& point) {
+PointResult run_point(const SweepPoint& point,
+                      std::shared_ptr<moe::GateTrace> trace) {
   if (point.serve) return run_serve_point(point);
   PointResult res;
   res.index = point.index;
   res.iterations = point.iterations;
-  sim::TrainingSimulator simulator(point.cfg);
+  sim::TrainingSimulator simulator(point.cfg, std::move(trace));
   double total = 0.0;
   res.iters.reserve(static_cast<std::size_t>(point.iterations));
   for (int i = 0; i < point.iterations; ++i) {
@@ -55,13 +61,84 @@ PointResult run_point(const SweepPoint& point) {
 
 namespace {
 
+/// The gate traces of one execute stage: one slot per distinct gate-trace
+/// key among the training points it runs. A slot's trace is built by the
+/// first point that acquires it, records up to the largest `iterations`
+/// among the key's points (then frees its generator), and is dropped when
+/// the key's last point releases it, so no trace outlives the call.
+class TracePool {
+ public:
+  TracePool(const std::vector<SweepPoint>& points,
+            const std::vector<std::size_t>& todo)
+      : slot_of_(points.size(), kNoSlot) {
+    std::map<std::string, std::size_t> by_key;
+    for (const std::size_t i : todo) {
+      if (points[i].serve) continue;
+      const sim::TrainingConfig& cfg = points[i].cfg;
+      const moe::GateConfig gate = sim::gate_config(cfg);
+      const auto [it, fresh] = by_key.emplace(
+          moe::gate_trace_key(gate, cfg.warmup_iterations), slots_.size());
+      if (fresh) slots_.emplace_back(gate, cfg.warmup_iterations);
+      Slot& slot = slots_[it->second];
+      slot.horizon = std::max(slot.horizon, points[i].iterations);
+      slot.layers = std::max(slot.layers, sim::layers_per_stage(cfg));
+      ++slot.users;
+      slot_of_[i] = it->second;
+    }
+  }
+
+  /// Point i's shared trace (built on first use); null for serving points.
+  std::shared_ptr<moe::GateTrace> acquire(std::size_t i) {
+    if (slot_of_[i] == kNoSlot) return nullptr;
+    Slot& slot = slots_[slot_of_[i]];
+    std::lock_guard<std::mutex> lock(slot.mu);
+    if (!slot.trace) {
+      slot.trace = std::make_shared<moe::GateTrace>(
+          slot.gate, slot.warmup, slot.layers, slot.horizon);
+      ++built_;
+    }
+    return slot.trace;
+  }
+
+  /// Point i finished (either way; a second call is a no-op): the key's
+  /// last point drops the trace.
+  void release(std::size_t i) {
+    const std::size_t s = std::exchange(slot_of_[i], kNoSlot);
+    if (s == kNoSlot) return;
+    Slot& slot = slots_[s];
+    std::lock_guard<std::mutex> lock(slot.mu);
+    if (--slot.users == 0) slot.trace.reset();
+  }
+
+  std::size_t built() const { return built_; }
+
+ private:
+  static constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
+
+  struct Slot {
+    Slot(const moe::GateConfig& g, int w) : gate(g), warmup(w) {}
+    moe::GateConfig gate;
+    int warmup;
+    int horizon = 0;
+    int layers = 1;
+    std::mutex mu;
+    int users = 0;                          // guarded by mu
+    std::shared_ptr<moe::GateTrace> trace;  // guarded by mu
+  };
+
+  std::vector<std::size_t> slot_of_;  // point index -> slot
+  std::deque<Slot> slots_;            // elements never move (mutexes)
+  std::atomic<std::size_t> built_{0};
+};
+
 /// Execute `todo` (indices into `points`) on a worker pool, writing into
-/// `results` slots. A point that throws gets a zeroed slot carrying the
-/// what() text, and the sweep keeps going. on_done runs on the worker
-/// thread for each successful point -- the stream stage.
+/// `results` slots; training points read their key's trace from `traces`.
+/// A point that throws gets a zeroed slot carrying the what() text, and the
+/// sweep keeps going. on_done runs on the worker thread for each successful
+/// point -- the stream stage.
 template <typename OnDone>
 void execute_points(const std::vector<SweepPoint>& points,
-                    const std::vector<std::size_t>& todo,
+                    const std::vector<std::size_t>& todo, TracePool& traces,
                     std::vector<PointResult>& results, int jobs,
                     OnDone on_done) {
   if (todo.empty()) return;
@@ -73,7 +150,8 @@ void execute_points(const std::vector<SweepPoint>& points,
       const std::size_t i = todo[t];
       std::string error;
       try {
-        results[i] = run_point(points[i]);
+        results[i] = run_point(points[i], traces.acquire(i));
+        traces.release(i);
         on_done(i);
         continue;
       } catch (const std::exception& e) {
@@ -81,6 +159,7 @@ void execute_points(const std::vector<SweepPoint>& points,
       } catch (...) {
         error = "unknown exception";
       }
+      traces.release(i);
       results[i] = PointResult{};
       results[i].index = points[i].index;
       results[i].iterations = points[i].iterations;
@@ -149,7 +228,8 @@ std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
 
   // Execute + stream: completed records hit the disk from the worker thread
   // the moment they finish, so a killed run loses at most in-flight points.
-  execute_points(points, todo, results, ctx.jobs, [&](std::size_t i) {
+  TracePool traces(points, todo);
+  execute_points(points, todo, traces, results, ctx.jobs, [&](std::size_t i) {
     if (ctx.cache)
       ctx.cache->put(ctx.scenario, keys[i], results[i], points[i].labels);
   });
@@ -179,6 +259,7 @@ std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
   ctx.stats->skipped += skipped;
   ctx.stats->computed += todo.size();
   ctx.stats->failed += failures.size();
+  ctx.stats->gate_traces += traces.built();
   for (auto& f : failures) ctx.stats->failures.push_back(std::move(f));
   return results;
 }

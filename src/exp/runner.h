@@ -1,12 +1,16 @@
 // Staged sweep engine: plan -> cache-lookup -> execute -> stream -> merge
 // (DESIGN.md §7, §9).
 //
-// Each point owns its own TrainingSimulator (the simulator has no shared
-// mutable state -- every stochastic component draws from the point's own
-// seeded Rng), so points are embarrassingly parallel. Workers claim points
-// from an atomic counter and write results into a pre-sized vector slot
-// keyed by point index, so the collected ResultTable is identical whether
-// the sweep runs with --jobs 1 or --jobs N.
+// Each point owns its own TrainingSimulator; the one thing points share is
+// read-only input. Training points whose gate-trace keys match
+// (moe::gate_trace_key over sim::gate_config and the warm-up) read one
+// append-only moe::GateTrace, built on the worker that first needs it and
+// dropped when the key's last point finishes. A trace's records are a pure
+// function of its key, whichever worker appends them, so a point sees the
+// same routing at --jobs 1 or --jobs N. Workers claim points from an atomic
+// counter and write results into a pre-sized vector slot keyed by point
+// index, so the collected ResultTable is identical whether the sweep runs
+// with --jobs 1 or --jobs N.
 //
 // The RunContext adds the content-addressed stages: each point's
 // canonical key (exp/cache_key.h) is looked up in the ResultCache before
@@ -19,11 +23,13 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "exp/context.h"
 #include "exp/scenario.h"
+#include "moe/gate_trace.h"
 
 namespace mixnet::exp {
 
@@ -57,8 +63,11 @@ struct PointResult {
 };
 
 /// Execute one point: build the simulator, run the measured iterations,
-/// apply the probe.
-PointResult run_point(const SweepPoint& point);
+/// apply the probe. A training point reads `trace` (run_sweep passes the
+/// key's shared one); null gives the simulator its own. Serving points
+/// ignore it.
+PointResult run_point(const SweepPoint& point,
+                      std::shared_ptr<moe::GateTrace> trace = nullptr);
 
 /// The sweep engine: cache lookup under ctx.scenario, shard filtering,
 /// ctx.jobs worker threads, streamed records. Results are indexed by point

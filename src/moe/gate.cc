@@ -22,7 +22,6 @@ void normalize(std::vector<double>& v) { normalize_span(v.data(), v.size()); }
 GateSimulator::GateSimulator(const GateConfig& cfg)
     : cfg_(cfg), rng_(cfg.seed, cfg.rng_mode) {
   assert(cfg_.n_experts >= cfg_.ep_ranks || cfg_.n_experts > 0);
-  experts_per_rank_ = std::max(1, cfg_.n_experts / cfg_.ep_ranks);
 
   logits_.resize(static_cast<std::size_t>(cfg_.n_experts));
   for (auto& z : logits_) z = rng_.normal(0.0, 1.0);
@@ -62,26 +61,20 @@ GateSimulator::GateSimulator(const GateConfig& cfg)
       std::sqrt(std::max(1.0 - cfg_.pref_retention * cfg_.pref_retention, 1e-6));
   pref_logits_.resize(static_cast<std::size_t>(cfg_.ep_ranks) *
                       static_cast<std::size_t>(cfg_.n_layers));
-  rank_pref_.resize(pref_logits_.size());
-  for (std::size_t k = 0; k < pref_logits_.size(); ++k) {
-    auto& z = pref_logits_[k];
+  for (auto& z : pref_logits_) {
     z.resize(static_cast<std::size_t>(cfg_.n_experts));
     for (auto& v : z) v = rng_.normal(0.0, pref_sd);
-    rank_pref_[k].resize(z.size());
-    refresh_rank_pref(k);
   }
 
-  q_.assign(static_cast<std::size_t>(cfg_.n_layers),
-            std::vector<std::vector<double>>(
-                static_cast<std::size_t>(cfg_.ep_ranks),
-                std::vector<double>(static_cast<std::size_t>(cfg_.n_experts))));
+  q_.assign(static_cast<std::size_t>(cfg_.ep_ranks),
+            std::vector<double>(static_cast<std::size_t>(cfg_.n_experts)));
+  q_prev_ = q_;
   load_.assign(static_cast<std::size_t>(cfg_.n_layers),
                std::vector<double>(static_cast<std::size_t>(cfg_.n_experts)));
   counts_.assign(static_cast<std::size_t>(cfg_.n_layers),
                  Matrix(static_cast<std::size_t>(cfg_.ep_ranks),
                         static_cast<std::size_t>(cfg_.n_experts)));
-  refresh_distributions();
-  realize_counts();
+  realize();
 }
 
 double GateSimulator::lb_mix() const {
@@ -99,21 +92,19 @@ void GateSimulator::skip(int n) {
 void GateSimulator::step() {
   ++iter_;
   advance_state();
-  refresh_distributions();
-  realize_counts();
+  realize();
 }
 
-void GateSimulator::refresh_rank_pref(std::size_t k) {
+void GateSimulator::rank_pref(std::size_t k, double* p) const {
   const auto& z = pref_logits_[k];
-  auto& p = rank_pref_[k];
   if (rng_.mode() == Rng::Mode::kVectorized) {
-    vecmath::exp_block(z.data(), p.data(), z.size());
+    vecmath::exp_block(z.data(), p, z.size());
   } else {
     // Sequential mode must reproduce pre-vectorization outputs bit-for-bit;
     // the libmvec exp can differ from std::exp in the last ulp.
     for (std::size_t e = 0; e < z.size(); ++e) p[e] = std::exp(z[e]);
   }
-  normalize(p);
+  normalize_span(p, z.size());
 }
 
 void GateSimulator::apply_ou_update(double pop_a, double pop_sd, double pref_a,
@@ -133,7 +124,6 @@ void GateSimulator::apply_ou_update(double pop_a, double pop_sd, double pref_a,
   for (std::size_t k = 0; k < pref_logits_.size(); ++k, eps += E) {
     auto& z = pref_logits_[k];
     for (std::size_t e = 0; e < E; ++e) z[e] = pref_a * z[e] + pref_sd * eps[e];
-    refresh_rank_pref(k);
   }
 }
 
@@ -202,14 +192,22 @@ void GateSimulator::advance_steps(int n) {
   const int boundaries = (iter_ + n) / 50 - iter_ / 50;
   for (int b = 0; b < boundaries; ++b) transition_drift();
   iter_ += n;
-  refresh_distributions();
-  realize_counts();
+  realize();
 }
 
-void GateSimulator::refresh_distributions() {
+void GateSimulator::realize() {
   const auto E = static_cast<std::size_t>(cfg_.n_experts);
   const double mix = lb_mix();
   const double uniform = 1.0 / static_cast<double>(E);
+  const double n = cfg_.tokens_per_rank;
+
+  // One bulk fill for every (layer, rank, expert) Gaussian count draw of the
+  // iteration (sequence-identical to the historical per-(layer, rank) fills
+  // in sequential mode); the layers below consume it in order.
+  normal_scratch_.resize(static_cast<std::size_t>(cfg_.n_layers) *
+                         static_cast<std::size_t>(cfg_.ep_ranks) * E);
+  rng_.fill_normal(normal_scratch_.data(), normal_scratch_.size());
+  const double* eps = normal_scratch_.data();
 
   // Work buffers carved from one member scratch (this runs every step of the
   // figure-bench hot loop; no per-call allocation).
@@ -226,94 +224,76 @@ void GateSimulator::refresh_distributions() {
   for (std::size_t e = 0; e < E; ++e) pi0[e] = std::exp(logits_[e] - zmax);
   normalize_span(pi0, E);
 
-  // Load-balancing loss model: experts converge toward equal *total* token
-  // counts while each rank keeps its relative preferences -- a fractional
-  // step of iterative proportional fitting toward uniform column marginals.
-  // The flattening factor depends only on the layer marginal, so it is
-  // computed once per layer and applied to every rank (identical values to
-  // the historical per-rank pow calls, at 1/ep_ranks the cost).
-  auto balance_layer = [&](int l) {
-    auto& layer_q = q_[static_cast<std::size_t>(l)];
-    std::fill(marginal, marginal + E, 0.0);
-    for (const auto& q : layer_q)
-      for (std::size_t e = 0; e < E; ++e) marginal[e] += q[e];
-    normalize_span(marginal, E);
-    for (std::size_t e = 0; e < E; ++e)
-      factor[e] = std::pow(uniform / std::max(marginal[e], 1e-9), mix);
-    for (auto& q : layer_q) {
-      for (std::size_t e = 0; e < E; ++e) q[e] *= factor[e];
-      normalize(q);
-    }
-  };
-
-  // Personalization weights pref^gamma for every (rank, layer): one block
-  // exp(gamma * log(pref)) pass in vectorized mode, per-element std::pow in
-  // sequential mode (bit-compatible with the historical outputs).
+  // Personalization weights pref^gamma for every (rank, layer), from the
+  // preference softmax: one block exp(gamma * log(pref)) pass in vectorized
+  // mode, per-element std::pow in sequential mode (bit-compatible with the
+  // historical outputs).
   const double gamma = cfg_.personalization;
   auto pref_pow_of = [&](int h, int l) -> const double* {
     const std::size_t k = static_cast<std::size_t>(l) *
                               static_cast<std::size_t>(cfg_.ep_ranks) +
                           static_cast<std::size_t>(h);
     double* out = pref_pow_buf;
-    const auto& pref = rank_pref_[k];
+    rank_pref(k, out);
     if (rng_.mode() == Rng::Mode::kVectorized) {
-      for (std::size_t e = 0; e < E; ++e) out[e] = std::max(pref[e], 1e-9);
+      for (std::size_t e = 0; e < E; ++e) out[e] = std::max(out[e], 1e-9);
       vecmath::pow_block(out, gamma, out, E);
     } else {
       for (std::size_t e = 0; e < E; ++e)
-        out[e] = std::pow(std::max(pref[e], 1e-9), gamma);
+        out[e] = std::pow(std::max(out[e], 1e-9), gamma);
     }
     return out;
   };
-  for (int h = 0; h < cfg_.ep_ranks; ++h) {
-    auto& q0 = q_[0][static_cast<std::size_t>(h)];
-    const double* pref_pow = pref_pow_of(h, 0);
-    for (std::size_t e = 0; e < E; ++e) q0[e] = pi0[e] * pref_pow[e];
-    normalize(q0);
-  }
-  balance_layer(0);
-  // Propagate through the Markov chain, re-personalizing and re-balancing at
-  // every layer.
-  for (int l = 1; l < cfg_.n_layers; ++l) {
-    const Matrix& m = transitions_[static_cast<std::size_t>(l)];
+
+  // Layer by layer: each layer's per-rank distributions depend only on the
+  // layer before (a Markov chain), so two [rank][expert] buffers suffice.
+  for (int l = 0; l < cfg_.n_layers; ++l) {
+    if (l > 0) std::swap(q_, q_prev_);
+    // Route: layer 0 from popularity, later layers through the transition
+    // matrix from the previous layer, re-personalized at every layer.
     for (int h = 0; h < cfg_.ep_ranks; ++h) {
-      auto& q = q_[static_cast<std::size_t>(l)][static_cast<std::size_t>(h)];
-      const auto& prev =
-          q_[static_cast<std::size_t>(l - 1)][static_cast<std::size_t>(h)];
-      if (rng_.mode() == Rng::Mode::kVectorized)
-        vecmath::matvec_block(m.data().data(), prev.data(), q.data(), E, E);
-      else
-        m.mul_into(prev, q);
+      auto& q = q_[static_cast<std::size_t>(h)];
+      if (l == 0) {
+        for (std::size_t e = 0; e < E; ++e) q[e] = pi0[e];
+      } else {
+        const Matrix& m = transitions_[static_cast<std::size_t>(l)];
+        const auto& prev = q_prev_[static_cast<std::size_t>(h)];
+        if (rng_.mode() == Rng::Mode::kVectorized)
+          vecmath::matvec_block(m.data().data(), prev.data(), q.data(), E, E);
+        else
+          m.mul_into(prev, q);
+      }
       const double* pref_pow = pref_pow_of(h, l);
       for (std::size_t e = 0; e < E; ++e) q[e] *= pref_pow[e];
       normalize(q);
     }
-    balance_layer(l);
-  }
-  for (int l = 0; l < cfg_.n_layers; ++l) {
+
+    // Load-balancing loss model: experts converge toward equal *total*
+    // token counts while each rank keeps its relative preferences -- a
+    // fractional step of iterative proportional fitting toward uniform
+    // column marginals. The flattening factor depends only on the layer
+    // marginal, so it is computed once per layer and applied to every rank.
+    std::fill(marginal, marginal + E, 0.0);
+    for (const auto& q : q_)
+      for (std::size_t e = 0; e < E; ++e) marginal[e] += q[e];
+    normalize_span(marginal, E);
+    for (std::size_t e = 0; e < E; ++e)
+      factor[e] = std::pow(uniform / std::max(marginal[e], 1e-9), mix);
+    for (auto& q : q_) {
+      for (std::size_t e = 0; e < E; ++e) q[e] *= factor[e];
+      normalize(q);
+    }
+
     auto& load = load_[static_cast<std::size_t>(l)];
     std::fill(load.begin(), load.end(), 0.0);
-    for (int h = 0; h < cfg_.ep_ranks; ++h)
-      for (std::size_t e = 0; e < E; ++e)
-        load[e] += q_[static_cast<std::size_t>(l)][static_cast<std::size_t>(h)][e];
+    for (const auto& q : q_)
+      for (std::size_t e = 0; e < E; ++e) load[e] += q[e];
     normalize(load);
-  }
-}
 
-void GateSimulator::realize_counts() {
-  const auto E = static_cast<std::size_t>(cfg_.n_experts);
-  const double n = cfg_.tokens_per_rank;
-  // One bulk fill for every (layer, rank, expert) Gaussian count draw of the
-  // iteration (sequence-identical to the historical per-(layer, rank) fills
-  // in sequential mode), then a fused realize + clamp + renormalize pass.
-  normal_scratch_.resize(static_cast<std::size_t>(cfg_.n_layers) *
-                         static_cast<std::size_t>(cfg_.ep_ranks) * E);
-  rng_.fill_normal(normal_scratch_.data(), normal_scratch_.size());
-  const double* eps = normal_scratch_.data();
-  for (int l = 0; l < cfg_.n_layers; ++l) {
+    // Realized counts: a fused realize + clamp + renormalize pass.
     Matrix& c = counts_[static_cast<std::size_t>(l)];
     for (int h = 0; h < cfg_.ep_ranks; ++h, eps += E) {
-      const auto& q = q_[static_cast<std::size_t>(l)][static_cast<std::size_t>(h)];
+      const auto& q = q_[static_cast<std::size_t>(h)];
       double total = 0.0;
       for (std::size_t e = 0; e < E; ++e) {
         const double meanv = n * q[e];
@@ -340,22 +320,27 @@ const Matrix& GateSimulator::dispatch_counts(int layer) const {
 }
 
 Matrix GateSimulator::rank_dispatch_matrix(int layer, double bytes_per_slot) const {
-  const Matrix& c = counts_[static_cast<std::size_t>(layer)];
-  const auto R = static_cast<std::size_t>(cfg_.ep_ranks);
-  Matrix t(R, R, 0.0);
-  const auto epr = static_cast<std::size_t>(experts_per_rank_);
-  for (std::size_t h = 0; h < R; ++h) {
-    for (std::size_t e = 0; e < static_cast<std::size_t>(cfg_.n_experts); ++e) {
-      const std::size_t owner = std::min(e / epr, R - 1);
-      t(h, owner) += c(h, e) * bytes_per_slot;
-    }
-  }
-  return t;
+  return moe::rank_dispatch_matrix(counts_[static_cast<std::size_t>(layer)],
+                                   bytes_per_slot);
 }
 
 const Matrix& GateSimulator::transition(int layer) const {
   assert(layer >= 1);
   return transitions_[static_cast<std::size_t>(layer)];
+}
+
+Matrix rank_dispatch_matrix(const Matrix& counts, double bytes_per_slot) {
+  const std::size_t R = counts.rows();
+  const std::size_t E = counts.cols();
+  Matrix t(R, R, 0.0);
+  const std::size_t epr = std::max<std::size_t>(1, E / std::max<std::size_t>(R, 1));
+  for (std::size_t h = 0; h < R; ++h) {
+    for (std::size_t e = 0; e < E; ++e) {
+      const std::size_t owner = std::min(e / epr, R - 1);
+      t(h, owner) += counts(h, e) * bytes_per_slot;
+    }
+  }
+  return t;
 }
 
 }  // namespace mixnet::moe

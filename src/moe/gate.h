@@ -81,10 +81,8 @@ class GateSimulator {
   /// Realized dispatch counts: rows = home rank, cols = expert (token slots).
   const Matrix& dispatch_counts(int layer) const;
 
-  /// EP-rank all-to-all matrix in bytes for the *dispatch* (first) all-to-all
-  /// of a layer: entry (src_rank, dst_rank). `experts_per_rank` experts are
-  /// owned contiguously per rank; `bytes_per_slot` is hidden*dtype bytes.
-  /// The combine (second) all-to-all is this matrix transposed (§5.1).
+  /// EP-rank dispatch all-to-all bytes of a layer:
+  /// moe::rank_dispatch_matrix(dispatch_counts(layer), bytes_per_slot).
   Matrix rank_dispatch_matrix(int layer, double bytes_per_slot) const;
 
   /// Ground-truth inter-layer transition matrix (column-stochastic),
@@ -115,26 +113,35 @@ class GateSimulator {
   void apply_ou_update(double pop_a, double pop_sd, double pref_a,
                        double pref_sd);
   void transition_drift();
-  void refresh_distributions();
-  void realize_counts();
-  void refresh_rank_pref(std::size_t k);
+  /// Materialize the current state: per-rank expert distributions, loads
+  /// and realized counts of every layer.
+  void realize();
+  /// Preference weights of (rank, layer) walk `k` (softmax of its logits)
+  /// into `p` (n_experts entries).
+  void rank_pref(std::size_t k, double* p) const;
 
   GateConfig cfg_;
   Rng rng_;
-  int experts_per_rank_ = 1;
   int iter_ = 0;
   std::vector<double> logits_;                 // layer-0 popularity logits
   std::vector<Matrix> transitions_;            // per layer >= 1
-  // Per (layer, rank) preference logits (OU process) and derived weights.
+  // Per (layer, rank) preference logits (OU process).
   std::vector<std::vector<double>> pref_logits_;
-  std::vector<std::vector<double>> rank_pref_;
-  // Per layer: per home rank expert distribution, loads, realized counts.
-  std::vector<std::vector<std::vector<double>>> q_;  // [layer][rank][expert]
+  // Per home rank expert distribution of the layer realize() is on and of
+  // the one before it; per layer: loads, realized counts.
+  std::vector<std::vector<double>> q_, q_prev_;      // [rank][expert]
   std::vector<std::vector<double>> load_;            // [layer][expert]
   std::vector<Matrix> counts_;                       // [layer] (rank x expert)
   std::vector<double> normal_scratch_;               // bulk fill_normal buffer
   std::vector<double> gamma_scratch_;                // bulk fill_gamma buffer
-  std::vector<double> dist_scratch_;  // refresh_distributions work buffers
+  std::vector<double> dist_scratch_;  // realize() work buffers
 };
+
+/// EP-rank all-to-all bytes of a dispatch-count matrix (rows = home rank,
+/// cols = expert): entry (src_rank, dst_rank) for the dispatch all-to-all.
+/// Each rank owns max(1, experts / ranks) experts contiguously (any
+/// remainder goes to the last rank); `bytes_per_slot` is hidden*dtype
+/// bytes. The combine all-to-all is this matrix transposed (§5.1).
+Matrix rank_dispatch_matrix(const Matrix& counts, double bytes_per_slot);
 
 }  // namespace mixnet::moe

@@ -1,0 +1,82 @@
+#include "moe/gate_trace.h"
+
+#include <stdexcept>
+
+#include "common/canonical.h"
+
+namespace mixnet::moe {
+
+std::string gate_trace_key(const GateConfig& gc, int warmup) {
+  // Every GateConfig field is key material (mixnet-lint's cache-key analyzer
+  // holds this function to that via tools/lint/gate_trace_key.json): two
+  // gates aliased under one key would silently share a trace.
+  CanonicalWriter w;
+  w.field("n_experts", gc.n_experts);
+  w.field("n_layers", gc.n_layers);
+  w.field("ep_ranks", gc.ep_ranks);
+  w.field("tokens_per_rank", gc.tokens_per_rank);
+  w.field("dirichlet_alpha", gc.dirichlet_alpha);
+  w.field("transition_alpha", gc.transition_alpha);
+  w.field("personalization", gc.personalization);
+  w.field("drift_sigma", gc.drift_sigma);
+  w.field("pref_drift_sigma", gc.pref_drift_sigma);
+  w.field("pref_retention", gc.pref_retention);
+  w.field("lb_final", gc.lb_final);
+  w.field("lb_timescale", gc.lb_timescale);
+  w.field("seed", gc.seed);
+  w.field("rng_mode", static_cast<int>(gc.rng_mode));
+  w.field("warmup", warmup);
+  return w.digest_hex();
+}
+
+GateTrace::GateTrace(const GateConfig& gate, int warmup, int stage_layers,
+                     int horizon)
+    : cfg_(gate),
+      warmup_(warmup),
+      stage_layers_(stage_layers),
+      horizon_(horizon),
+      key_(gate_trace_key(gate, warmup)),
+      gen_(std::make_unique<GateSimulator>(gate)) {
+  if (stage_layers_ < 1 || stage_layers_ > cfg_.n_layers)
+    throw std::invalid_argument("GateTrace: stage_layers out of range");
+  initial_.reserve(static_cast<std::size_t>(cfg_.n_layers));
+  for (int l = 0; l < cfg_.n_layers; ++l)
+    initial_.push_back(gen_->dispatch_counts(l));
+  gen_->advance_steps(warmup_);
+  if (horizon_ == 0) gen_.reset();
+}
+
+const Matrix& GateTrace::initial_counts(int layer) const {
+  return initial_[static_cast<std::size_t>(layer)];
+}
+
+const GateTrace::Iteration& GateTrace::iteration(int i) {
+  std::lock_guard<std::mutex> lock(mu_);
+  while (static_cast<int>(records_.size()) <= i) {
+    if (!gen_) {
+      // Past the planned horizon: replay the generator to where the records
+      // end. The gate is deterministic in its config, so the values match.
+      gen_ = std::make_unique<GateSimulator>(cfg_);
+      gen_->advance_steps(warmup_);
+      for (std::size_t k = 0; k < records_.size(); ++k) gen_->step();
+    }
+    gen_->step();
+    Iteration it;
+    it.counts.reserve(static_cast<std::size_t>(stage_layers_));
+    it.load.reserve(static_cast<std::size_t>(stage_layers_));
+    for (int l = 0; l < stage_layers_; ++l) {
+      it.counts.push_back(gen_->dispatch_counts(l));
+      it.load.push_back(gen_->expert_load(l));
+    }
+    records_.push_back(std::move(it));
+    if (static_cast<int>(records_.size()) == horizon_) gen_.reset();
+  }
+  return records_[static_cast<std::size_t>(i)];
+}
+
+bool GateTrace::generating() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return gen_ != nullptr;
+}
+
+}  // namespace mixnet::moe

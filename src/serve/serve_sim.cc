@@ -15,6 +15,7 @@ ServeSimulator::ServeSimulator(const sim::TrainingConfig& cluster,
     : cfg_(cluster),
       scfg_(scfg),
       cluster_(cfg_),
+      gate_(sim::gate_config(cfg_)),
       detector_(control::HotspotConfig{scfg.hotspot_window,
                                        scfg.hotspot_threshold,
                                        scfg.hotspot_cooldown}) {
@@ -28,17 +29,19 @@ ServeSimulator::ServeSimulator(const sim::TrainingConfig& cluster,
   for (int e = 0; e < cfg_.model.n_experts; ++e)
     contiguous[static_cast<std::size_t>(e)] = std::min(e / epr, cfg_.par.ep - 1);
   expert_to_rank_.assign(static_cast<std::size_t>(layers), contiguous);
-  last_loads_.resize(static_cast<std::size_t>(layers));
-  predict::CopilotConfig cc;
-  cc.n_experts = cfg_.model.n_experts;
-  // Serving observes per engine step (milliseconds apart), not per training
-  // iteration: the default re-solve cadence of 4 would spend more time on
-  // least squares than on the fabric simulation, and the load process only
-  // moves on the hotspot-window timescale anyway.
-  cc.resolve_every = 64;
-  copilots_.assign(static_cast<std::size_t>(layers), predict::Copilot(cc));
+  if (scfg_.replacement_on) {
+    last_loads_.resize(static_cast<std::size_t>(layers));
+    predict::CopilotConfig cc;
+    cc.n_experts = cfg_.model.n_experts;
+    // Serving observes per engine step (milliseconds apart), not per
+    // training iteration: the default re-solve cadence of 4 would spend more
+    // time on least squares than on the fabric simulation, and the load
+    // process only moves on the hotspot-window timescale anyway.
+    cc.resolve_every = 64;
+    copilots_.assign(static_cast<std::size_t>(layers), predict::Copilot(cc));
+  }
 
-  cluster_.gate().advance_steps(cfg_.warmup_iterations);
+  gate_.advance_steps(cfg_.warmup_iterations);
 
   // Offline circuit setup from the warmed-up gate state: serving starts on
   // circuits matched to the initial demand, fully hidden (no request is in
@@ -57,7 +60,7 @@ ServeSimulator::~ServeSimulator() = default;
 
 Matrix ServeSimulator::rank_bytes(int layer, double step_tokens) const {
   const auto ep = static_cast<std::size_t>(cfg_.par.ep);
-  const Matrix& counts = cluster_.gate().dispatch_counts(layer);
+  const Matrix& counts = gate_.dispatch_counts(layer);
   const auto& e2r = expert_to_rank_[static_cast<std::size_t>(layer)];
   Matrix bytes(ep, ep, 0.0);
   const double total = counts.sum();
@@ -106,7 +109,7 @@ TimeNs ServeSimulator::simulate_step(double step_tokens, ServeReport& report) {
     const TimeNs a2a =
         cluster_.runner().ep_all_to_all(cluster_.group_servers(), demand);
     // Expert compute dilation: the stage finishes with its hottest rank.
-    const Matrix& counts = cluster_.gate().dispatch_counts(l);
+    const Matrix& counts = gate_.dispatch_counts(l);
     const auto& e2r = expert_to_rank_[static_cast<std::size_t>(l)];
     std::vector<double> rank_load(ep, 0.0);
     double total = 0.0;
@@ -180,14 +183,16 @@ TimeNs ServeSimulator::maybe_replace(ServeReport& report) {
   const int layers = cluster_.layers_per_stage();
   constexpr int kMaxSwapsPerLayer = 2;
   // Per-layer expert load (the per-expert counters the control plane already
-  // collects), fed to each layer's Copilot. The detector watches the
-  // stage-aggregate per-rank load.
+  // collects), fed to each layer's Copilot when re-placement can read its
+  // predictions. The detector watches the stage-aggregate per-rank load.
   std::vector<double> rank_load(ep, 0.0);
   for (int l = 0; l < layers; ++l) {
     const auto li = static_cast<std::size_t>(l);
-    const std::vector<double>& cur = cluster_.gate().expert_load(l);
-    if (!last_loads_[li].empty()) copilots_[li].observe(last_loads_[li], cur);
-    last_loads_[li] = cur;
+    const std::vector<double>& cur = gate_.expert_load(l);
+    if (scfg_.replacement_on) {
+      if (!last_loads_[li].empty()) copilots_[li].observe(last_loads_[li], cur);
+      last_loads_[li] = cur;
+    }
     for (std::size_t e = 0; e < ne; ++e)
       rank_load[static_cast<std::size_t>(expert_to_rank_[li][e])] += cur[e];
   }
@@ -244,7 +249,7 @@ ServeReport ServeSimulator::run() {
     double step_tokens = 0.0;
     for (const auto& a : active)
       step_tokens += a.prefilled ? 1.0 : trace[a.id].prompt_tokens;
-    cluster_.gate().step();
+    gate_.step();
     now += simulate_step(step_tokens, report);
     now += maybe_replace(report);
     ++report.engine_steps;

@@ -3,10 +3,11 @@
 //
 // Reuses the training stack end to end through sim::Cluster, the same
 // bring-up TrainingSimulator runs (core_model included) — Placement/Fabric
-// for the cluster, GateSimulator for per-request expert routing (the
-// moe/traffic skew model), PhaseRunner for flow-level all-to-all
-// measurement, TopologyController for OCS circuits — but drives it with an
-// open-loop request trace instead of synchronous iterations:
+// for the cluster, PhaseRunner for flow-level all-to-all measurement,
+// TopologyController for OCS circuits — plus a GateSimulator of its own for
+// per-step expert routing (configured by sim::gate_config; each serving
+// point has its own seed, so there is no trace to share). It drives the
+// stack with an open-loop request trace instead of synchronous iterations:
 //
 //   1. Admit arrived requests up to the continuous-batching cap; jump to the
 //      next arrival when idle.
@@ -17,12 +18,12 @@
 //      from the flow simulator, expert compute dilated by the hottest EP
 //      rank's load share (the straggler effect re-placement exists to fix).
 //   3. A sliding-window hotspot detector (control/hotspot.h) watches
-//      per-rank expert load; when it trips, per-layer Copilot load
-//      predictions drive bounded hot<->cold expert swaps (each layer's
-//      experts are distinct parameters, so every layer owns its own
-//      expert->rank map). Migration pauses the engine, and the next pass
-//      over the layers re-prepares the regional OCS circuits — both costs
-//      land in the latency records, which is how SLO metrics see
+//      per-rank expert load; when it trips and re-placement is on,
+//      per-layer Copilot load predictions drive bounded hot<->cold expert
+//      swaps (each layer's experts are distinct parameters, so every layer
+//      owns its own expert->rank map). Migration pauses the engine, and the
+//      next pass over the layers re-prepares the regional OCS circuits —
+//      both costs land in the latency records, which is how SLO metrics see
 //      reconfiguration windows.
 #pragma once
 
@@ -31,6 +32,7 @@
 
 #include "control/controller.h"
 #include "control/hotspot.h"
+#include "moe/gate.h"
 #include "predict/copilot.h"
 #include "serve/metrics.h"
 #include "serve/serve_config.h"
@@ -71,12 +73,16 @@ class ServeSimulator {
   sim::TrainingConfig cfg_;  ///< declared before cluster_, which completes it
   ServeConfig scfg_;
   sim::Cluster cluster_;
+  moe::GateSimulator gate_;
   std::unique_ptr<control::TopologyController> controller_;  ///< MixNet only
   control::HotspotDetector detector_;
-  std::vector<predict::Copilot> copilots_;  ///< one per stage layer
+  /// One per stage layer; built and fed only with re-placement on, the one
+  /// reader of their predictions.
+  std::vector<predict::Copilot> copilots_;
   /// Per stage layer: expert -> EP rank (layers own distinct experts).
   std::vector<std::vector<int>> expert_to_rank_;
-  /// Per stage layer: previous step's expert load (Copilot input).
+  /// Per stage layer: previous step's expert load (Copilot input; kept only
+  /// with re-placement on).
   std::vector<std::vector<double>> last_loads_;
   int pending_reconfig_layers_ = 0;
 };

@@ -7,10 +7,33 @@
 
 namespace mixnet::sim {
 
+namespace {
+
+moe::ParallelismSpec resolved_par(const TrainingConfig& cfg) {
+  return cfg.par_overridden ? cfg.par : moe::default_parallelism(cfg.model);
+}
+
+}  // namespace
+
+moe::GateConfig gate_config(const TrainingConfig& cfg) {
+  const moe::ParallelismSpec par = resolved_par(cfg);
+  moe::GateConfig gc = cfg.gate;
+  gc.n_experts = cfg.model.n_experts;
+  gc.n_layers = cfg.model.n_blocks;
+  gc.ep_ranks = par.ep;
+  gc.tokens_per_rank = par.tokens_per_microbatch() * cfg.model.top_k / par.ep;
+  gc.seed = cfg.seed;
+  return gc;
+}
+
+int layers_per_stage(const TrainingConfig& cfg) {
+  return std::max(cfg.model.n_blocks / resolved_par(cfg).pp, 1);
+}
+
 Cluster::Cluster(TrainingConfig& cfg)
     : mixnet_(cfg.fabric_kind == topo::FabricKind::kMixNet ||
               cfg.fabric_kind == topo::FabricKind::kMixNetOpticalIO) {
-  if (!cfg.par_overridden) cfg.par = moe::default_parallelism(cfg.model);
+  cfg.par = resolved_par(cfg);
   placement_ = std::make_unique<moe::Placement>(cfg.par, cfg.gpus_per_server);
 
   topo::FabricConfig fc =
@@ -31,15 +54,6 @@ Cluster::Cluster(TrainingConfig& cfg)
   // TopoOpt keeps its single global region (set inside Fabric::build).
   fabric_ = std::make_unique<topo::Fabric>(topo::Fabric::build(fc));
 
-  moe::GateConfig gc = cfg.gate;
-  gc.n_experts = cfg.model.n_experts;
-  gc.n_layers = cfg.model.n_blocks;
-  gc.ep_ranks = cfg.par.ep;
-  gc.tokens_per_rank =
-      cfg.par.tokens_per_microbatch() * cfg.model.top_k / cfg.par.ep;
-  gc.seed = cfg.seed;
-  gate_ = std::make_unique<moe::GateSimulator>(gc);
-
   collective::EngineConfig ecfg;
   ecfg.a2a_efficiency = cfg.a2a_efficiency;
   ecfg.ring_efficiency = cfg.ring_efficiency;
@@ -54,7 +68,7 @@ Cluster::Cluster(TrainingConfig& cfg)
   group_servers_ = placement_->ep_group_servers(0, 0);
   rank_to_local_server_ = placement_->ep_rank_to_local_server(0, 0);
   if (mixnet_) rep_region_ = fabric_->region_of(group_servers_.front());
-  layers_per_stage_ = std::max(cfg.model.n_blocks / cfg.par.pp, 1);
+  layers_per_stage_ = sim::layers_per_stage(cfg);
 }
 
 Matrix Cluster::group_server_matrix(const Matrix& rank_bytes) const {

@@ -1,7 +1,9 @@
 // Cluster: the one bring-up of the simulated MixNet stack (DESIGN.md §6) —
-// placement, fabric, gate, collective runtime (PhaseRunner) and regional
-// topology controllers, all built from one TrainingConfig. TrainingSimulator
-// and ServeSimulator each hold one Cluster and add only their own policy.
+// placement, fabric, collective runtime (PhaseRunner) and regional topology
+// controllers, all built from one TrainingConfig. TrainingSimulator and
+// ServeSimulator each hold one Cluster and add only their own policy and
+// gate: a shared moe::GateTrace for training, a GateSimulator of its own for
+// serving, both configured by gate_config().
 #pragma once
 
 #include <memory>
@@ -18,11 +20,21 @@ namespace mixnet::sim {
 
 struct TrainingConfig;
 
+/// The gate a Cluster built from `cfg` drives: cfg.gate with the model's
+/// expert and block counts, the EP degree, the per-rank token slots and
+/// cfg.seed filled in (parallelism resolved as Cluster resolves it). A gate
+/// trace's key is moe::gate_trace_key(gate_config(cfg), warmup_iterations).
+moe::GateConfig gate_config(const TrainingConfig& cfg);
+
+/// MoE blocks per pipeline stage (at least 1): the gate layers one training
+/// iteration reads.
+int layers_per_stage(const TrainingConfig& cfg);
+
 class Cluster {
  public:
   /// Completes `cfg` in place (the model's default parallelism unless
   /// par_overridden; MixNet's optical degree = NICs not on the EPS), then
-  /// builds the placement, fabric, gate and phase runner from it. Throws
+  /// builds the placement, fabric and phase runner from it. Throws
   /// std::invalid_argument on a configuration the fabric or the phase runner
   /// rejects (e.g. an analytic core under the packet backend).
   explicit Cluster(TrainingConfig& cfg);
@@ -31,8 +43,6 @@ class Cluster {
   bool is_mixnet() const { return mixnet_; }
   const moe::Placement& placement() const { return *placement_; }
   topo::Fabric& fabric() { return *fabric_; }
-  moe::GateSimulator& gate() { return *gate_; }
-  const moe::GateSimulator& gate() const { return *gate_; }
   PhaseRunner& runner() { return *runner_; }
 
   /// Representative EP group (dp 0, pp 0): its servers, each EP rank's
@@ -56,7 +66,6 @@ class Cluster {
   bool mixnet_ = false;
   std::unique_ptr<moe::Placement> placement_;
   std::unique_ptr<topo::Fabric> fabric_;
-  std::unique_ptr<moe::GateSimulator> gate_;
   std::unique_ptr<PhaseRunner> runner_;
   control::ControllerConfig controller_cfg_;
   std::vector<int> group_servers_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "dag/taskgraph.h"
 #include "moe/traffic.h"
@@ -42,8 +43,18 @@ Matrix rescale_plan_columns(Matrix seen, const std::vector<double>& predicted,
   return seen;
 }
 
-TrainingSimulator::TrainingSimulator(TrainingConfig cfg)
-    : cfg_(std::move(cfg)), cluster_(cfg_) {
+TrainingSimulator::TrainingSimulator(TrainingConfig cfg,
+                                     std::shared_ptr<moe::GateTrace> trace)
+    : cfg_(std::move(cfg)), cluster_(cfg_), trace_(std::move(trace)) {
+  const moe::GateConfig gc = gate_config(cfg_);
+  if (!trace_) {
+    trace_ = std::make_shared<moe::GateTrace>(gc, cfg_.warmup_iterations,
+                                              cluster_.layers_per_stage());
+  } else if (trace_->key() != moe::gate_trace_key(gc, cfg_.warmup_iterations) ||
+             trace_->stage_layers() < cluster_.layers_per_stage()) {
+    throw std::invalid_argument(
+        "TrainingSimulator: gate trace does not match the configuration");
+  }
   topo::Fabric& fabric = cluster_.fabric();
   failures_ = std::make_unique<control::FailureManager>(fabric);
   if (cfg_.failure.kind != control::FailureScenario::Kind::kNone) {
@@ -81,9 +92,6 @@ TrainingSimulator::TrainingSimulator(TrainingConfig cfg)
   }
 
   if (cfg_.fabric_kind == topo::FabricKind::kTopoOpt) install_topoopt_circuits();
-
-  // Advance the gate past the planning snapshot (see warmup_iterations).
-  cluster_.gate().advance_steps(cfg_.warmup_iterations);
 }
 
 control::TopologyController& TrainingSimulator::controller_for(int region) {
@@ -95,10 +103,10 @@ control::TopologyController& TrainingSimulator::controller_for(int region) {
 void TrainingSimulator::install_topoopt_circuits() {
   // One-shot topology (§7.1): a Hamiltonian ring for global connectivity
   // (TopoOpt's all-reduce rings) plus per-EP-group greedy circuits from the
-  // initial demand estimate, using the remaining optical degree.
+  // initial demand estimate (the trace's pre-warm-up snapshot), using the
+  // remaining optical degree.
   topo::Fabric& fabric = cluster_.fabric();
   const moe::Placement& placement = cluster_.placement();
-  const moe::GateSimulator& gate = cluster_.gate();
   const int n = fabric.n_servers();
   const int alpha = cfg_.nics_per_server;
   Matrix counts(static_cast<std::size_t>(n), static_cast<std::size_t>(n), 0.0);
@@ -128,8 +136,8 @@ void TrainingSimulator::install_topoopt_circuits() {
       Matrix demand(members.size(), members.size(), 0.0);
       for (int l = 0; l < lps; ++l) {
         const int layer = std::min(pp * lps + l, cfg_.model.n_blocks - 1);
-        const Matrix rank = gate.rank_dispatch_matrix(
-            layer, cfg_.model.hidden_dim * kBf16);
+        const Matrix rank = moe::rank_dispatch_matrix(
+            trace_->initial_counts(layer), cfg_.model.hidden_dim * kBf16);
         const Matrix m = moe::aggregate_to_servers(
             rank, placement.ep_rank_to_local_server(dp, pp),
             static_cast<int>(members.size()));
@@ -147,11 +155,10 @@ void TrainingSimulator::install_topoopt_circuits() {
 }
 
 IterationResult TrainingSimulator::run_iteration() {
-  moe::GateSimulator& gate = cluster_.gate();
+  const moe::GateTrace::Iteration& gate = trace_->iteration(iteration_++);
   PhaseRunner& runner = cluster_.runner();
   const std::vector<int>& group_servers = cluster_.group_servers();
   const int rep_region = cluster_.rep_region();
-  gate.step();
   IterationResult res;
 
   const dag::LayerTimes lt =
@@ -169,8 +176,9 @@ IterationResult TrainingSimulator::run_iteration() {
   const TimeNs bp_window =
       static_cast<TimeNs>(bf * static_cast<double>(lt.attention + lt.expert));
   for (int l = 0; l < lps; ++l) {
-    const Matrix demand = cluster_.group_server_matrix(
-        gate.rank_dispatch_matrix(l, cfg_.model.hidden_dim * kBf16));
+    const auto lu = static_cast<std::size_t>(l);
+    const Matrix demand = cluster_.group_server_matrix(moe::rank_dispatch_matrix(
+        gate.counts[lu], cfg_.model.hidden_dim * kBf16));
     if (cluster_.is_mixnet()) {
       // Planning demand: Copilot predicts this layer's expert loads from the
       // previous layer and scales last iteration's observed matrix columns
@@ -178,9 +186,8 @@ IterationResult TrainingSimulator::run_iteration() {
       // is known from the previous micro-batch's identical routing).
       Matrix plan = demand;
       if (cfg_.use_copilot) {
-        const auto& prev_load =
-            l == 0 ? gate.expert_load(0) : gate.expert_load(l - 1);
-        auto& cp = copilots_[static_cast<std::size_t>(l)];
+        const auto& prev_load = gate.load[l == 0 ? 0 : lu - 1];
+        auto& cp = copilots_[lu];
         const auto predicted = cp.predict(prev_load);
         monitor_.record(rep_region, l, demand);
         if (cp.observations() > 4) {
@@ -190,18 +197,16 @@ IterationResult TrainingSimulator::run_iteration() {
                                       predicted,
                                       cluster_.rank_to_local_server(), epr);
         }
-        cp.observe(prev_load, gate.expert_load(l));
+        cp.observe(prev_load, gate.load[lu]);
       }
       auto outcome = controller_for(rep_region).prepare(plan, fp_window);
-      blocked_fp[static_cast<std::size_t>(l)] = outcome.blocked;
+      blocked_fp[lu] = outcome.blocked;
       if (outcome.reconfigured) {
         ++res.reconfigurations;
-        blocked_bp[static_cast<std::size_t>(l)] =
-            std::max<TimeNs>(cfg_.reconfig_delay - bp_window, 0);
+        blocked_bp[lu] = std::max<TimeNs>(cfg_.reconfig_delay - bp_window, 0);
       }
     }
-    a2a[static_cast<std::size_t>(l)] =
-        runner.ep_all_to_all(group_servers, demand);
+    a2a[lu] = runner.ep_all_to_all(group_servers, demand);
   }
   last_timeline_ = PhaseTimeline{lt.attention, lt.gate,     a2a[0],
                                  lt.expert,    a2a[0],      lt.add_norm,

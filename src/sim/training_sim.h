@@ -1,7 +1,8 @@
 // TrainingSimulator: end-to-end distributed MoE training iteration simulation.
 //
 // Composition (DESIGN.md §6):
-//   1. The gate simulator produces this iteration's per-layer routing.
+//   1. The gate trace (moe/gate_trace.h) supplies this iteration's per-layer
+//      routing.
 //   2. For each MoE block of the representative pipeline stage, the regional
 //      topology controller reconfigures the OCS (Algorithm 1, with the
 //      Fig. 20 hide-window accounting) and the phase runner measures the
@@ -28,6 +29,7 @@
 #include "control/monitor.h"
 #include "dag/compute_model.h"
 #include "moe/gate.h"
+#include "moe/gate_trace.h"
 #include "moe/models.h"
 #include "moe/placement.h"
 #include "predict/copilot.h"
@@ -139,9 +141,14 @@ Matrix rescale_plan_columns(Matrix seen, const std::vector<double>& predicted,
 
 class TrainingSimulator {
  public:
-  explicit TrainingSimulator(TrainingConfig cfg);
+  /// Builds the cluster and reads routing from `trace`, which must carry
+  /// the key of gate_config(cfg) and cfg.warmup_iterations and record at
+  /// least layers_per_stage(cfg) layers (std::invalid_argument otherwise).
+  /// A null trace means an unshared one of the simulator's own.
+  explicit TrainingSimulator(TrainingConfig cfg,
+                             std::shared_ptr<moe::GateTrace> trace = nullptr);
 
-  /// Advance the gate state and simulate one training iteration.
+  /// Read the next iteration of the gate trace and simulate it.
   IterationResult run_iteration();
 
   /// Run several iterations; returns per-iteration results.
@@ -165,6 +172,8 @@ class TrainingSimulator {
   control::TrafficMonitor monitor_;  // smoothed demand (use_copilot only)
   std::map<int, std::unique_ptr<control::TopologyController>> controllers_;
   std::vector<predict::Copilot> copilots_;  // per layer boundary (use_copilot)
+  std::shared_ptr<moe::GateTrace> trace_;
+  int iteration_ = 0;  // next trace iteration run_iteration reads
   TimeNs tp_penalty_per_layer_ = 0;
   PhaseTimeline last_timeline_;
 };

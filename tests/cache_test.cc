@@ -366,6 +366,38 @@ TEST(SweepEngine, WarmRunIsAllHitsAndBitIdentical) {
   }
 }
 
+TEST(SweepEngine, OneGateTracePerKeyAndNoneOnAWarmCache) {
+  // fig12's shape: one run_sweep call per model over every fabric and
+  // bandwidth, all points of a call sharing the model's gate key.
+  TempCacheDir dir;
+  ResultCache cache(dir.path);
+  RunContext ctx;
+  ctx.scenario = "fig12-shaped";
+  ctx.cache = &cache;
+  ctx.jobs = 2;
+  auto grid = [](int blocks) {
+    return SweepSpec(tiny_spec().configure([blocks](sim::TrainingConfig& cfg) {
+             cfg.model.n_blocks = blocks;
+           }))
+        .fabrics(evaluated_fabrics())
+        .bandwidths({100.0, 400.0})
+        .expand();
+  };
+  for (const bool warm : {false, true}) {
+    SweepStats stats;
+    ctx.stats = &stats;
+    for (const int blocks : {2, 3}) {
+      const std::size_t before = stats.gate_traces;
+      run_sweep(grid(blocks), ctx);
+      EXPECT_EQ(stats.gate_traces - before, warm ? 0u : 1u)
+          << (warm ? "warm" : "cold") << " call, " << blocks << " blocks";
+    }
+    EXPECT_EQ(stats.points, 20u);
+    EXPECT_EQ(stats.hits, warm ? 20u : 0u);
+    EXPECT_EQ(stats.failed, 0u);
+  }
+}
+
 TEST(SweepEngine, ShardedRunsMergeBitIdenticalToSerial) {
   const std::vector<SweepPoint> sweep = tiny_sweep();
   const auto serial = run_sweep(sweep, RunContext{});

@@ -1,17 +1,23 @@
 // Declarative experiment layer: sweep expansion, deterministic per-point
-// seeding, serial-vs-parallel result equality, the result-table emitters,
+// seeding, serial-vs-parallel result equality, shared gate traces (their
+// keys and their equivalence to private gates), the result-table emitters,
 // and scenario-registry integrity.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp/registry.h"
 #include "exp/result_table.h"
 #include "exp/runner.h"
 #include "exp/scenario.h"
+#include "moe/gate_trace.h"
+#include "sim/cluster.h"
 
 namespace mixnet::exp {
 namespace {
@@ -201,6 +207,230 @@ TEST(SweepRunner, ProbeRecordsCustomMetrics) {
 
 TEST(SweepRunner, EmptyPointListIsFine) {
   EXPECT_TRUE(run_sweep(std::vector<SweepPoint>{}, jobs_ctx(4)).empty());
+}
+
+// ----------------------------------------------------------- gate traces ----
+
+moe::GateConfig trace_gate() {
+  moe::GateConfig g;
+  g.n_experts = 16;
+  g.n_layers = 4;
+  g.ep_ranks = 8;
+  g.tokens_per_rank = 4096;
+  g.seed = 7;
+  return g;
+}
+
+TEST(GateTrace, RecordsEqualALiveGateSteppedInLockstep) {
+  const moe::GateConfig g = trace_gate();
+  constexpr int kWarmup = 60, kLayers = 3, kHorizon = 4;
+  moe::GateTrace trace(g, kWarmup, kLayers, kHorizon);
+  moe::GateSimulator live(g);
+  for (int l = 0; l < g.n_layers; ++l)
+    EXPECT_EQ(trace.initial_counts(l).data(), live.dispatch_counts(l).data())
+        << "iteration-0 layer " << l;
+  live.advance_steps(kWarmup);
+  // Two iterations past the horizon: the freed generator is replayed.
+  for (int i = 0; i < kHorizon + 2; ++i) {
+    live.step();
+    const moe::GateTrace::Iteration& it = trace.iteration(i);
+    ASSERT_EQ(it.counts.size(), static_cast<std::size_t>(kLayers));
+    for (int l = 0; l < kLayers; ++l) {
+      const auto lu = static_cast<std::size_t>(l);
+      EXPECT_EQ(it.counts[lu].data(), live.dispatch_counts(l).data())
+          << "iteration " << i << " layer " << l;
+      EXPECT_EQ(it.load[lu], live.expert_load(l));
+      EXPECT_EQ(moe::rank_dispatch_matrix(it.counts[lu], 8192.0).data(),
+                live.rank_dispatch_matrix(l, 8192.0).data());
+    }
+    if (i == kHorizon - 1) {
+      EXPECT_FALSE(trace.generating());
+    }
+  }
+  // Earlier records are untouched by later appends.
+  moe::GateSimulator again(g);
+  again.advance_steps(kWarmup);
+  again.step();
+  EXPECT_EQ(trace.iteration(0).counts[0].data(), again.dispatch_counts(0).data());
+}
+
+TEST(GateTrace, ConcurrentReadersSeeOneSequence) {
+  const moe::GateConfig g = trace_gate();
+  constexpr int kIters = 8;
+  moe::GateTrace reference(g, 10, 2);
+  auto shared = std::make_shared<moe::GateTrace>(g, 10, 2, kIters);
+  // Readers race to extend the trace, each walking a different order.
+  std::vector<std::vector<const moe::GateTrace::Iteration*>> seen(4);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t)
+    readers.emplace_back([&, t] {
+      for (int k = 0; k < kIters; ++k)
+        seen[static_cast<std::size_t>(t)].push_back(
+            &shared->iteration(t % 2 ? kIters - 1 - k : k));
+    });
+  for (auto& r : readers) r.join();
+  for (int t = 0; t < 4; ++t)
+    for (int k = 0; k < kIters; ++k) {
+      const int i = t % 2 ? kIters - 1 - k : k;
+      const auto* it = seen[static_cast<std::size_t>(t)][static_cast<std::size_t>(k)];
+      EXPECT_EQ(it, &shared->iteration(i));  // published records never move
+      EXPECT_EQ(it->counts[1].data(), reference.iteration(i).counts[1].data());
+    }
+  EXPECT_FALSE(shared->generating());
+}
+
+std::string config_key(const sim::TrainingConfig& cfg) {
+  return moe::gate_trace_key(sim::gate_config(cfg), cfg.warmup_iterations);
+}
+
+TEST(GateTraceKey, EveryGateFieldAndTheWarmupChangeTheKey) {
+  const moe::GateConfig base = trace_gate();
+  const std::vector<std::function<void(moe::GateConfig&)>> changes = {
+      [](moe::GateConfig& g) { g.n_experts = 32; },
+      [](moe::GateConfig& g) { g.n_layers = 5; },
+      [](moe::GateConfig& g) { g.ep_ranks = 4; },
+      [](moe::GateConfig& g) { g.tokens_per_rank = 4096.5; },
+      [](moe::GateConfig& g) { g.dirichlet_alpha = 0.3; },
+      [](moe::GateConfig& g) { g.transition_alpha = 0.09; },
+      [](moe::GateConfig& g) { g.personalization = 0.7; },
+      [](moe::GateConfig& g) { g.drift_sigma = 0.07; },
+      [](moe::GateConfig& g) { g.pref_drift_sigma = 0.45; },
+      [](moe::GateConfig& g) { g.pref_retention = 0.97; },
+      [](moe::GateConfig& g) { g.lb_final = 0.4; },
+      [](moe::GateConfig& g) { g.lb_timescale = 2001.0; },
+      [](moe::GateConfig& g) { g.seed = 8; },
+      [](moe::GateConfig& g) { g.rng_mode = Rng::Mode::kSequential; },
+  };
+  std::set<std::string> keys = {moe::gate_trace_key(base, 100)};
+  EXPECT_EQ(moe::gate_trace_key(base, 100), moe::gate_trace_key(base, 100));
+  EXPECT_TRUE(keys.insert(moe::gate_trace_key(base, 101)).second);
+  for (std::size_t c = 0; c < changes.size(); ++c) {
+    moe::GateConfig g = base;
+    changes[c](g);
+    EXPECT_TRUE(keys.insert(moe::gate_trace_key(g, 100)).second)
+        << "GateConfig change #" << c << " left the key unchanged";
+  }
+}
+
+TEST(GateTraceKey, ComesFromTheGateAConfigDrives) {
+  const sim::TrainingConfig base = ScenarioSpec::paper(
+      moe::mixtral_8x7b(), topo::FabricKind::kFatTree, 400.0).build_config();
+  const std::string key = config_key(base);
+  // What the gate runs on changes the key...
+  const std::vector<std::function<void(sim::TrainingConfig&)>> keyed = {
+      [](sim::TrainingConfig& c) { c.seed = 43; },
+      [](sim::TrainingConfig& c) { c.warmup_iterations = 99; },
+      [](sim::TrainingConfig& c) { c.par.ep = 4; },
+      [](sim::TrainingConfig& c) { c.model.n_blocks = 31; },
+      [](sim::TrainingConfig& c) { c.model.n_experts = 16; },
+      [](sim::TrainingConfig& c) { c.par.micro_batch = 4; },
+      [](sim::TrainingConfig& c) { c.gate.dirichlet_alpha = 0.3; },
+      [](sim::TrainingConfig& c) { c.gate.lb_final = 0.4; },
+      [](sim::TrainingConfig& c) { c.gate.rng_mode = Rng::Mode::kSequential; },
+  };
+  for (std::size_t c = 0; c < keyed.size(); ++c) {
+    sim::TrainingConfig cfg = base;
+    cfg.par_overridden = true;  // keep par edits
+    keyed[c](cfg);
+    EXPECT_NE(config_key(cfg), key) << "config change #" << c;
+  }
+  // ...what it is replayed on does not.
+  const std::vector<std::function<void(sim::TrainingConfig&)>> unkeyed = {
+      [](sim::TrainingConfig& c) { c.fabric_kind = topo::FabricKind::kMixNet; },
+      [](sim::TrainingConfig& c) { c.fabric_kind = topo::FabricKind::kTopoOpt; },
+      [](sim::TrainingConfig& c) { c.nic_gbps = 100.0; },
+      [](sim::TrainingConfig& c) { c.par.dp = 4; },
+      [](sim::TrainingConfig& c) { c.use_copilot = true; },
+      [](sim::TrainingConfig& c) { c.backend = net::NetBackend::kPacket; },
+      // Derived fields are overwritten by sim::gate_config.
+      [](sim::TrainingConfig& c) { c.gate.seed = 1; },
+      [](sim::TrainingConfig& c) { c.gate.ep_ranks = 3; },
+  };
+  for (std::size_t c = 0; c < unkeyed.size(); ++c) {
+    sim::TrainingConfig cfg = base;
+    cfg.par_overridden = true;
+    unkeyed[c](cfg);
+    EXPECT_EQ(config_key(cfg), key) << "config change #" << c;
+  }
+}
+
+void expect_same_results(const std::vector<PointResult>& want,
+                         const std::vector<PointResult>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("point " + std::to_string(i));
+    ASSERT_TRUE(got[i].ok()) << got[i].error;
+    EXPECT_EQ(want[i].iter_sec, got[i].iter_sec);
+    ASSERT_EQ(want[i].iters.size(), got[i].iters.size());
+    for (std::size_t k = 0; k < want[i].iters.size(); ++k) {
+      const sim::IterationResult& a = want[i].iters[k];
+      const sim::IterationResult& b = got[i].iters[k];
+      EXPECT_EQ(a.total, b.total);
+      EXPECT_EQ(a.ep_comm, b.ep_comm);
+      EXPECT_EQ(a.pp_send, b.pp_send);
+      EXPECT_EQ(a.dp_comm, b.dp_comm);
+      EXPECT_EQ(a.reconfig_blocked, b.reconfig_blocked);
+      EXPECT_EQ(a.compute, b.compute);
+      EXPECT_EQ(a.reconfigurations, b.reconfigurations);
+      EXPECT_EQ(a.tokens, b.tokens);
+    }
+    EXPECT_EQ(want[i].timeline.total(), got[i].timeline.total());
+    EXPECT_EQ(want[i].timeline.reconfig_blocked, got[i].timeline.reconfig_blocked);
+  }
+}
+
+TEST(SweepRunner, SharedGateTracesMatchStandaloneSimulators) {
+  // One gate key, many consumers: all five fabrics, MixNet planning from
+  // Copilot, the packet backend, a two-stage pipeline (fewer layers per
+  // stage) and two iteration counts.
+  std::vector<SweepPoint> points =
+      SweepSpec(tiny_spec().iterations(2)).fabrics(evaluated_fabrics()).expand().points();
+  auto add = [&](ScenarioSpec spec) {
+    SweepPoint p = SweepSpec(std::move(spec)).expand().points().front();
+    p.index = points.size();
+    points.push_back(std::move(p));
+  };
+  add(tiny_spec().fabric(topo::FabricKind::kMixNet).copilot(true).iterations(3));
+  add(tiny_spec().fabric(topo::FabricKind::kFatTree).iterations(3));
+  // Packet points run 1 MiB packets: the MTU is not gate material, and
+  // fewer packets keep the race-detector run short.
+  for (const auto kind : {topo::FabricKind::kFatTree, topo::FabricKind::kMixNet})
+    add(tiny_spec().fabric(kind).backend(net::NetBackend::kPacket).iterations(2)
+            .configure([](sim::TrainingConfig& cfg) { cfg.pkt.mtu_bytes = 1 << 20; }));
+  add(tiny_spec().configure([](sim::TrainingConfig& cfg) { cfg.par.pp = 2; }));
+  for (const auto& p : points) EXPECT_EQ(config_key(p.cfg), config_key(points[0].cfg));
+
+  std::vector<PointResult> standalone;
+  for (const auto& p : points) standalone.push_back(run_point(p));
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    SweepStats stats;
+    RunContext ctx = jobs_ctx(jobs);
+    ctx.stats = &stats;
+    expect_same_results(standalone, run_sweep(points, ctx));
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_EQ(stats.gate_traces, 1u);
+  }
+}
+
+TEST(SweepRunner, MismatchedGateTraceIsRejected) {
+  const SweepPoint p = SweepSpec(tiny_spec()).expand().points().front();
+  const moe::GateConfig gate = sim::gate_config(p.cfg);
+  const int warmup = p.cfg.warmup_iterations;
+  const int layers = sim::layers_per_stage(p.cfg);
+  moe::GateConfig other = gate;
+  other.seed += 1;
+  EXPECT_THROW(sim::TrainingSimulator(
+                   p.cfg, std::make_shared<moe::GateTrace>(other, warmup, layers)),
+               std::invalid_argument);
+  EXPECT_THROW(sim::TrainingSimulator(
+                   p.cfg, std::make_shared<moe::GateTrace>(gate, warmup + 1, layers)),
+               std::invalid_argument);
+  EXPECT_THROW(sim::TrainingSimulator(
+                   p.cfg, std::make_shared<moe::GateTrace>(gate, warmup, layers - 1)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(sim::TrainingSimulator(
+      p.cfg, std::make_shared<moe::GateTrace>(gate, warmup, layers)));
 }
 
 // -------------------------------------------------------------- emitters ----

@@ -142,14 +142,42 @@ class CacheKeyAcceptance(unittest.TestCase):
                     f"deleting serialization of '{path}' went undetected; "
                     f"diagnostics: {rendered}")
 
+    def test_deleting_any_gate_trace_key_line_turns_the_gate_red(self):
+        # The same acceptance loop over the gate-trace key (DESIGN.md §8):
+        # a GateConfig field left out of moe::gate_trace_key would let two
+        # different gates share one recorded trace.
+        impl = ROOT / "src" / "moe" / "gate_trace.cc"
+        lines = impl.read_text().splitlines(keepends=True)
+        field_lines = [
+            (i, m.group(1))
+            for i, l in enumerate(lines)
+            for m in [re.search(r'w\.field\("[^"]+",\s*(?:static_cast<int>\()?'
+                                r'gc\.([\w.]+)\)', l)]
+            if m
+        ]
+        self.assertEqual(len(field_lines), 14,
+                         "gate_trace.cc lost its field lines?")
+        with tempfile.TemporaryDirectory() as td:
+            mutated = Path(td) / "gate_trace_mut.cc"
+            for i, path in field_lines:
+                mutated.write_text("".join(lines[:i] + lines[i + 1:]))
+                diags = mixnet_lint.check_cache_key(
+                    ROOT, self.write_config(td, mutated, "GateConfig",
+                                            "src/moe/gate.h", "gc"))
+                self.assertTrue(
+                    any(f"'{path}'" in d.render() and
+                        "not serialized" in d.render() for d in diags),
+                    f"deleting serialization of '{path}' went undetected")
+
     @staticmethod
-    def write_config(tmpdir, mutated_impl):
+    def write_config(tmpdir, mutated_impl, struct="TrainingConfig",
+                     header="src/sim/training_sim.h", variable="cfg"):
         cfg = Path(tmpdir) / "cache_key.json"
         cfg.write_text(
-            '{"struct": "TrainingConfig",'
-            f'"header": "src/sim/training_sim.h",'
+            f'{{"struct": "{struct}",'
+            f'"header": "{header}",'
             f'"impl": "{mutated_impl}",'
-            '"variable": "cfg", "search": ["src"], "allow": []}')
+            f'"variable": "{variable}", "search": ["src"], "allow": []}}')
         return cfg
 
 
