@@ -7,7 +7,7 @@
 //   mixnet-bench --run 'serve*' --check      trailing-* prefix glob + checks
 //   mixnet-bench --run all --format json     every scenario, JSON to stdout
 //   mixnet-bench --run fig13 --shard 1/4     execute this shard's points
-//   mixnet-bench merge --run fig13           render from the shared cache
+//   mixnet-bench --run fig13                 then render from the cache
 //
 // Sweep points execute through the staged engine (plan -> cache-lookup ->
 // execute -> stream -> merge): each point's canonical content key is looked
@@ -16,7 +16,8 @@
 // their record to disk as they finish, so a killed run resumes with zero
 // recomputation. `--shard i/N` executes only this process's residue class
 // of the point grid; per-point seeds derive from (base seed, index), so N
-// sharded runs plus `merge` are byte-identical to a serial run.
+// sharded runs followed by a plain `--run` over their cache are
+// byte-identical to a serial run.
 //
 // Exit codes (README "Exit codes"): 0 success; 1 unknown scenario or
 // scenario failure; 2 usage error; 3 paper-shape check violation;
@@ -46,15 +47,11 @@ using mixnet::exp::SweepStats;
 int usage(const char* argv0, int code) {
   std::fprintf(
       code == 0 ? stdout : stderr,
-      "Usage: %s [merge] [--list] [--run NAME[,NAME...]|all] [--jobs N]\n"
+      "Usage: %s [--list] [--run NAME[,NAME...]|all] [--jobs N]\n"
       "          [--format text|csv|json] [--check] [--cache DIR|--no-cache]\n"
       "          [--shard I/N] [--stats FILE]\n"
       "          [--backend analytic|flow|packet]\n"
       "\n"
-      "  merge          subcommand: render --run scenarios from the shared\n"
-      "                 result cache (the merge step of a sharded sweep);\n"
-      "                 points missing from the cache are computed and the\n"
-      "                 recomputation count reported on stderr\n"
       "  --list         list registered scenarios and exit (--format json\n"
       "                 for a machine-readable listing)\n"
       "  --run NAMES    comma-separated scenario names, 'all', or trailing-*\n"
@@ -64,12 +61,12 @@ int usage(const char* argv0, int code) {
       "  --format FMT   output format: text (default), csv, json\n"
       "  --check        run registered paper-shape checks after each\n"
       "                 scenario; exit 3 on any violation (CI smoke gate)\n"
-      "  --cache DIR    result-cache directory (default .mixnet-cache, or\n"
-      "                 the MIXNET_CACHE_DIR environment variable)\n"
+      "  --cache DIR    result-cache directory (default .mixnet-cache)\n"
       "  --no-cache     disable the result cache (every point recomputes)\n"
       "  --shard I/N    execute only points with index %% N == I, streaming\n"
       "                 records into the cache; table output is suppressed\n"
-      "                 (run 'merge' once all shards finish)\n"
+      "                 (once all shards finish, --run over the same cache\n"
+      "                 renders the complete tables)\n"
       "  --stats FILE   write per-scenario cache hit/miss and gate-trace\n"
       "                 counts as JSON\n"
       "  --backend B    override the network fidelity ladder for every point\n"
@@ -159,7 +156,6 @@ bool write_stats_file(const std::string& path,
 int main(int argc, char** argv) {
   bool list = false;
   bool check = false;
-  bool merge = false;
   bool no_cache = false;
   std::vector<std::string> names;
   std::string format = "text";
@@ -169,12 +165,7 @@ int main(int argc, char** argv) {
   bool shard_set = false;
   RunContext ctx;
 
-  int argi = 1;
-  if (argi < argc && std::string(argv[argi]) == "merge") {
-    merge = true;
-    ++argi;
-  }
-  for (int i = argi; i < argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
@@ -237,13 +228,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown format: %s\n", format.c_str());
     return usage(argv[0], 2);
   }
-  if (no_cache && (!cache_dir.empty() || shard_set || merge)) {
-    std::fprintf(stderr,
-                 "--no-cache cannot be combined with --cache/--shard/merge\n");
-    return usage(argv[0], 2);
-  }
-  if (merge && shard_set) {
-    std::fprintf(stderr, "merge and --shard are mutually exclusive\n");
+  if (no_cache && (!cache_dir.empty() || shard_set)) {
+    std::fprintf(stderr, "--no-cache cannot be combined with --cache/--shard\n");
     return usage(argv[0], 2);
   }
 
@@ -316,10 +302,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (cache_dir.empty()) {
-    const char* env = std::getenv("MIXNET_CACHE_DIR");
-    cache_dir = env && *env ? env : ".mixnet-cache";
-  }
+  if (cache_dir.empty()) cache_dir = ".mixnet-cache";
   std::unique_ptr<ResultCache> cache;
   if (!no_cache) cache = std::make_unique<ResultCache>(cache_dir);
   ctx.cache = cache.get();
@@ -327,7 +310,7 @@ int main(int argc, char** argv) {
   ctx.shard_count = shard_count;
 
   // Shard mode renders nothing: partial grids make partial tables, and the
-  // deliverable is the streamed cache records. `merge` does the rendering.
+  // deliverable is the streamed cache records; a later --run renders them.
   const bool render = !shard_set;
 
   // JSON buffers the whole array so a scenario failure mid-run never leaves
@@ -363,11 +346,10 @@ int main(int argc, char** argv) {
     // Cache hit/miss report: one stderr line per scenario, machine-collected
     // by scripts/verify.sh into BENCH_verify.json via --stats.
     if (ctx.cache || shard_set) {
-      const char* mode = shard_set ? "shard" : (merge ? "merge" : "cache");
-      std::string prefix = mode;
-      if (shard_set)
-        prefix += " " + std::to_string(shard_index) + "/" +
-                  std::to_string(shard_count);
+      const std::string prefix =
+          shard_set ? "shard " + std::to_string(shard_index) + "/" +
+                          std::to_string(shard_count)
+                    : "cache";
       std::fprintf(stderr,
                    "%s [%s]: %zu points, %zu hits, %zu computed, %zu skipped, "
                    "%zu failed\n",

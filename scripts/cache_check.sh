@@ -10,8 +10,9 @@
 #    exactly the mangled point, and print output byte-identical to the cold
 #    run: a hostile record is a miss, never a crash or a misread value.
 # 3. Shard-merge check: run fig12 as 2 shards into a second fresh cache dir,
-#    `mixnet-bench merge`, and require the merged output to be byte-identical
-#    to a serial --no-cache run.
+#    render it with a plain `--run fig12` over that cache, and require that
+#    run to recompute nothing and to print output byte-identical to a serial
+#    --no-cache run.
 #
 # Expects an already-built tree (build/bench/mixnet-bench). Exits non-zero
 # with a diagnostic on the first violated invariant.
@@ -83,7 +84,7 @@ shard_cache="$work/cache-shard"
 "$bench" --run fig12 --jobs "$jobs" --shard 1/2 --cache "$shard_cache" > "$work/s1.txt"
 [ ! -s "$work/s0.txt" ] && [ ! -s "$work/s1.txt" ] || {
   echo "FAIL: shard runs must not render tables to stdout" >&2; exit 1; }
-"$bench" merge --run fig12 --cache "$shard_cache" \
+"$bench" --run fig12 --cache "$shard_cache" \
   --stats "$work/merge.json" > "$work/merged.txt"
 merge_computed=$(stat_field "$work/merge.json" computed)
 [ "$merge_computed" -eq 0 ] || {

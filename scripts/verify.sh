@@ -29,8 +29,6 @@ Environment overrides (kept for CI matrix use):
   MIXNET_SMOKE_BENCHES   space-separated scenario names (default "fig12
                          fig13 serve-storm fidelity-ladder fig26-xl";
                          empty skips the smoke entirely)
-  MIXNET_FIG26XL_ARM     fig26-xl arm (small|full; default small — the
-                         smoke runs the small arm, see EXPERIMENTS.md)
   MIXNET_SMOKE_JOBS      smoke worker count (overrides --jobs for the smoke)
 EOF
 }
@@ -84,8 +82,9 @@ fi
 # ServeSimulator and its re-placement control loop end to end), and the
 # fidelity ladder (fidelity-ladder runs one workload on all three network
 # backends and machine-gates their agreement, DESIGN.md §12), and the
-# analytic-core scaling sweep (fig26-xl small arm gates the explicit-vs-
-# analytic equivalence and the throughput monotonicity, DESIGN.md §13),
+# analytic-core scaling sweep (fig26-xl gates the explicit-vs-analytic
+# equivalence and the throughput monotonicity up to 131072 GPUs,
+# DESIGN.md §13),
 # executed by `mixnet-bench --run <scenario> --jobs N --check` so sweep
 # points use the requested cores and the registered paper-shape checks
 # (ScenarioInfo::check, see EXPERIMENTS.md) gate the run. In --quick mode

@@ -1,5 +1,6 @@
 #include "exp/result_table.h"
 
+#include <cstdarg>
 #include <cstdio>
 
 namespace mixnet::exp {
@@ -7,6 +8,15 @@ namespace mixnet::exp {
 std::string fmt(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
+  return buf;
+}
+
+std::string printf_str(const char* format, ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(buf, sizeof(buf), format, args);
+  va_end(args);
   return buf;
 }
 

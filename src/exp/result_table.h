@@ -46,6 +46,11 @@ class Cell {
 /// Fixed-point formatting helper shared with scenario code ("%.*f").
 std::string fmt(double v, int precision = 3);
 
+/// printf into a std::string (output truncated at 511 characters), for
+/// table footers and check diagnostics.
+std::string printf_str(const char* format, ...)
+    __attribute__((format(printf, 1, 2)));
+
 class ResultTable {
  public:
   ResultTable(std::string id, std::string title,

@@ -4,9 +4,6 @@
 // rows index the grid exactly (Sweep::flat), never by re-matching axis
 // values. Per-figure paper-shape comparisons live in EXPERIMENTS.md.
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,18 +16,6 @@
 
 namespace mixnet::exp {
 namespace {
-
-std::string printf_str(const char* format, ...)
-    __attribute__((format(printf, 1, 2)));
-
-std::string printf_str(const char* format, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof(buf), format, args);
-  va_end(args);
-  return buf;
-}
 
 std::vector<std::string> fabric_columns(const std::string& first,
                                         const std::vector<topo::FabricKind>& kinds) {
@@ -474,15 +459,11 @@ ScenarioResult run_fig26(const RunContext& ctx) {
 // provably identical max-min allocations at oversub <= 1. The scenario
 // carries its own proof obligations: explicit-vs-analytic iteration times
 // must agree at small scale, and normalized throughput must grow
-// monotonically with cluster size (the paper's linear-scaling shape).
-// MIXNET_FIG26XL_ARM=full adds the 8k/65k/131k-GPU analytic points (the
-// default "small" arm is the CI smoke configuration).
+// monotonically with cluster size (the paper's linear-scaling shape) up
+// to 131072 GPUs.
 
 ScenarioResult run_fig26_xl(const RunContext& ctx) {
   const auto model = moe::mixtral_8x7b();
-  const char* arm_env = std::getenv("MIXNET_FIG26XL_ARM");
-  const bool full = arm_env != nullptr && std::string(arm_env) == "full";
-
   auto dp_for = [](int gpus) {
     return [gpus](ScenarioSpec& s) {
       s.configure([gpus](sim::TrainingConfig& cfg) {
@@ -527,10 +508,9 @@ ScenarioResult run_fig26_xl(const RunContext& ctx) {
     out.tables.push_back(std::move(t));
   }
 
-  // -- Scale arm: analytic core only; the full arm's 65k/131k points are
-  // the graph sizes the explicit core exists to avoid. -----------------
-  std::vector<int> sizes = {1024, 2048, 4096};
-  if (full) sizes.insert(sizes.end(), {8192, 65536, 131072});
+  // -- Scale arm: analytic core only; the 65k/131k points are the graph
+  // sizes the explicit core exists to avoid. --------------------------
+  const std::vector<int> sizes = {1024, 2048, 4096, 8192, 65536, 131072};
   {
     std::vector<AxisValue> size_axis;
     for (int gpus : sizes)
@@ -563,8 +543,7 @@ ScenarioResult run_fig26_xl(const RunContext& ctx) {
   const topo::Fabric fab = topo::Fabric::build(
       topo::FabricConfig::fat_tree(sizes.back() / 8)
           .with_core_model(topo::CoreModel::kAnalytic));
-  out.note = std::string("arm: ") + (full ? "full" : "small") +
-             "\nfabric: " + fab.describe() +
+  out.note = "fabric: " + fab.describe() +
              "\nPaper shape: tokens/s scales ~linearly with cluster size; "
              "the analytic core must reproduce the explicit core's "
              "iteration times at small scale.";
@@ -611,6 +590,9 @@ std::vector<std::string> check_fig26_xl(const ScenarioResult& res) {
           row[0].text().c_str(), row[1].value(), prev));
     prev = row[1].value();
   }
+  // The 100k-GPU claim: the scale sweep must reach 131072 GPUs.
+  if (sc.rows().back().empty() || sc.rows().back()[0].text() != "131072")
+    bad.emplace_back("fig26-xl: scale table does not reach 131072 GPUs");
   if (res.note.find("\"core_collapsed\":true") == std::string::npos)
     bad.emplace_back(
         "fig26-xl: fabric describe() does not report a collapsed core");
@@ -828,8 +810,7 @@ void register_training_scenarios(ScenarioRegistry& r) {
   r.add({"fig26", "Figure 26",
          "Scalability: tokens/s and perf-per-dollar vs cluster size", run_fig26, {}, "training"});
   r.add({"fig26-xl", "Figure 26 (XL)",
-         "100k-GPU scalability on the analytic electrical core "
-         "(MIXNET_FIG26XL_ARM=small|full)",
+         "100k-GPU scalability on the analytic electrical core",
          run_fig26_xl, check_fig26_xl, "training"});
   r.add({"fig27", "Figure 27",
          "Optical degree alpha sweep (cost-equivalent)", run_fig27, {}, "training"});

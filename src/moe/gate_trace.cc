@@ -31,18 +31,16 @@ std::string gate_trace_key(const GateConfig& gc, int warmup) {
 
 GateTrace::GateTrace(const GateConfig& gate, int warmup, int stage_layers,
                      int horizon)
-    : cfg_(gate),
-      warmup_(warmup),
-      stage_layers_(stage_layers),
+    : stage_layers_(stage_layers),
       horizon_(horizon),
       key_(gate_trace_key(gate, warmup)),
       gen_(std::make_unique<GateSimulator>(gate)) {
-  if (stage_layers_ < 1 || stage_layers_ > cfg_.n_layers)
+  if (stage_layers_ < 1 || stage_layers_ > gate.n_layers)
     throw std::invalid_argument("GateTrace: stage_layers out of range");
-  initial_.reserve(static_cast<std::size_t>(cfg_.n_layers));
-  for (int l = 0; l < cfg_.n_layers; ++l)
+  initial_.reserve(static_cast<std::size_t>(gate.n_layers));
+  for (int l = 0; l < gate.n_layers; ++l)
     initial_.push_back(gen_->dispatch_counts(l));
-  gen_->advance_steps(warmup_);
+  gen_->advance_steps(warmup);
   if (horizon_ == 0) gen_.reset();
 }
 
@@ -53,13 +51,9 @@ const Matrix& GateTrace::initial_counts(int layer) const {
 const GateTrace::Iteration& GateTrace::iteration(int i) {
   std::lock_guard<std::mutex> lock(mu_);
   while (static_cast<int>(records_.size()) <= i) {
-    if (!gen_) {
-      // Past the planned horizon: replay the generator to where the records
-      // end. The gate is deterministic in its config, so the values match.
-      gen_ = std::make_unique<GateSimulator>(cfg_);
-      gen_->advance_steps(warmup_);
-      for (std::size_t k = 0; k < records_.size(); ++k) gen_->step();
-    }
+    if (!gen_)
+      throw std::logic_error("GateTrace: iteration " + std::to_string(i) +
+                             " is past the trace's horizon");
     gen_->step();
     Iteration it;
     it.counts.reserve(static_cast<std::size_t>(stage_layers_));

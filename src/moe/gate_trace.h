@@ -43,9 +43,10 @@ class GateTrace {
 
   /// Builds the generator, records iteration 0 of every layer, then warms
   /// it up `warmup` iterations in closed form (advance_steps). Once
-  /// `horizon` measured iterations are recorded the generator is freed; a
-  /// later request rebuilds it by replay (same values). A negative
-  /// horizon keeps it for the trace's lifetime.
+  /// `horizon` measured iterations are recorded the generator is freed;
+  /// the caller plans the horizon (run_sweep: the largest `iterations`
+  /// among the key's points). A negative horizon keeps it for the trace's
+  /// lifetime.
   GateTrace(const GateConfig& gate, int warmup, int stage_layers,
             int horizon = -1);
 
@@ -57,15 +58,14 @@ class GateTrace {
 
   /// Measured iteration `i` (0-based), recording it and any before it on
   /// first request. Thread-safe; the reference is valid for the trace's
-  /// lifetime.
+  /// lifetime. Throws std::logic_error for `i` at or past a reached
+  /// horizon (the generator is gone).
   const Iteration& iteration(int i);
 
   /// Whether the generator is alive (freed after `horizon` iterations).
   bool generating() const;
 
  private:
-  GateConfig cfg_;
-  int warmup_ = 0;
   int stage_layers_ = 1;
   int horizon_ = -1;
   std::string key_;

@@ -14,6 +14,7 @@ Three kinds of coverage:
 Run directly (`python3 tests/lint_test.py`) or via CTest (`lint_test`).
 """
 
+import json
 import re
 import subprocess
 import sys
@@ -217,6 +218,29 @@ class DeterminismFixture(unittest.TestCase):
         self.assertIn("stale allowlist entry", out)
         # seed.cc's random_device is no longer excused either.
         self.assertIn("src/sim/seed.cc:4", out)
+
+
+class GetenvBan(unittest.TestCase):
+    """The real determinism config bans environment reads under src/."""
+    FIX = FIXTURES / "env_read"
+
+    def test_getenv_call_fires_but_comment_and_string_do_not(self):
+        real = json.loads(
+            (ROOT / "tools" / "lint" / "determinism.json").read_text())
+        cfg = {"paths": ["src"], "banned": real["banned"],
+               "canonical_paths": [], "canonical_banned": [], "allow": []}
+        with tempfile.NamedTemporaryFile("w", suffix=".json") as f:
+            json.dump(cfg, f)
+            f.flush()
+            code, out, _ = run_lint(
+                "determinism", "--root", str(self.FIX),
+                "--determinism-config", f.name)
+        self.assertEqual(code, 1)
+        diags = [l for l in out.splitlines() if ": [determinism]" in l]
+        # Only the call on knob.cc:6, not the comment (:3) or string (:4).
+        self.assertEqual(len(diags), 1, out)
+        self.assertIn("src/exp/knob.cc:6: [determinism] banned "
+                      "call/construct 'getenv()'", out)
 
 
 class UnorderedEmitFixture(unittest.TestCase):
