@@ -43,12 +43,6 @@ cd "$(dirname "$0")/.."
 echo "== mixnet-lint (layer DAG, cache-key completeness, determinism) =="
 python3 tools/mixnet_lint.py
 
-echo "== mixnet-lint (ServeConfig cache-key completeness) =="
-python3 tools/mixnet_lint.py cache-key --cache-key-config tools/lint/cache_key_serve.json
-
-echo "== mixnet-lint (GateConfig gate-trace-key completeness) =="
-python3 tools/mixnet_lint.py cache-key --cache-key-config tools/lint/gate_trace_key.json
-
 if [ "$tidy" = off ]; then
   exit 0
 fi

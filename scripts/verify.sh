@@ -19,10 +19,8 @@ Usage: scripts/verify.sh [--jobs N] [--quick] [--lint] [--help]
              perf iteration — the tier-1 gate is the full run
   --lint     run the full static-analysis gate too: scripts/lint.sh
              (mixnet-lint + clang-tidy when available) before the build,
-             and the TSan threaded suites (exp_test, cache_test,
-             phase_cache_test, serve_test, pkt_test, net_test under the
-             tsan preset)
-             after CTest — the whole DESIGN.md §10 gate with one command
+             and the tests labelled tsan under the tsan presets after
+             CTest — the whole DESIGN.md §10 gate with one command
   --help     this text
 
 Environment overrides (kept for CI matrix use):
@@ -61,19 +59,14 @@ if [ "$quick" -eq 0 ]; then
 fi
 
 if [ "$lint" -eq 1 ]; then
-  # Race-detector pass over the suites that exercise the threaded sweep
-  # engine (DESIGN.md §10) -- serve_test's sweep brings up sim::Cluster on
-  # worker threads -- plus the packet engine used from sweep worker
-  # threads (DESIGN.md §12) and the SoA FlowSim state shared across sweep
-  # points (DESIGN.md §13): the binaries run whole, jobs > 1 inside.
-  echo "== tsan: exp_test cache_test phase_cache_test serve_test pkt_test net_test =="
+  # Race-detector pass over the suites labelled tsan in tests/CMakeLists.txt
+  # (DESIGN.md §10): the threaded sweep engine, the packet engine on sweep
+  # worker threads (DESIGN.md §12) and the SoA FlowSim tables (DESIGN.md
+  # §13).
+  echo "== tsan: tests labelled tsan =="
   cmake --preset tsan > /dev/null
-  cmake --build --preset tsan -j "$jobs" \
-    -t exp_test cache_test phase_cache_test serve_test pkt_test net_test
-  for t in exp_test cache_test phase_cache_test serve_test pkt_test net_test; do
-    TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-      "./build-tsan/tests/$t" --gtest_brief=1
-  done
+  cmake --build --preset tsan -j "$jobs"
+  ctest --preset tsan -j "$jobs"
 fi
 
 # Figure-bench smoke: the two scenarios that stress the phase-simulation

@@ -1,5 +1,7 @@
 #include "exp/cache_key.h"
 
+#include "moe/gate_trace.h"
+
 namespace mixnet::exp {
 
 void canonicalize_config(const sim::TrainingConfig& cfg, CanonicalWriter& w) {
@@ -57,21 +59,8 @@ void canonicalize_config(const sim::TrainingConfig& cfg, CanonicalWriter& w) {
   // Gate simulator. Structural fields (n_experts/layers/ranks/tokens) are
   // re-derived from model/par at simulator construction, but scenario
   // configure() hooks may override the stochastic knobs, so all of them are
-  // key material.
-  w.field("gate.n_experts", cfg.gate.n_experts);
-  w.field("gate.n_layers", cfg.gate.n_layers);
-  w.field("gate.ep_ranks", cfg.gate.ep_ranks);
-  w.field("gate.tokens_per_rank", cfg.gate.tokens_per_rank);
-  w.field("gate.dirichlet_alpha", cfg.gate.dirichlet_alpha);
-  w.field("gate.transition_alpha", cfg.gate.transition_alpha);
-  w.field("gate.personalization", cfg.gate.personalization);
-  w.field("gate.drift_sigma", cfg.gate.drift_sigma);
-  w.field("gate.pref_drift_sigma", cfg.gate.pref_drift_sigma);
-  w.field("gate.pref_retention", cfg.gate.pref_retention);
-  w.field("gate.lb_final", cfg.gate.lb_final);
-  w.field("gate.lb_timescale", cfg.gate.lb_timescale);
-  w.field("gate.seed", cfg.gate.seed);
-  w.field("gate.rng_mode", static_cast<int>(cfg.gate.rng_mode));
+  // key material, written by GateConfig's one writer.
+  moe::canonicalize_gate(cfg.gate, w);
 
   w.field("warmup_iterations", cfg.warmup_iterations);
   w.field("seed", cfg.seed);
@@ -80,6 +69,36 @@ void canonicalize_config(const sim::TrainingConfig& cfg, CanonicalWriter& w) {
   w.field("backend", static_cast<int>(cfg.backend));
   w.field("pkt.mtu_bytes", cfg.pkt.mtu_bytes);
   w.field("pkt.window_packets", cfg.pkt.window_packets);
+}
+
+void canonicalize_serve_config(const serve::ServeConfig& scfg,
+                               CanonicalWriter& w) {
+  // Open-loop arrival process.
+  w.field("serve.n_requests", scfg.n_requests);
+  w.field("serve.arrival_rate_hz", scfg.arrival_rate_hz);
+  w.field("serve.shape", static_cast<int>(scfg.shape));
+  w.field("serve.burst_factor", scfg.burst_factor);
+  w.field("serve.diurnal_period_s", scfg.diurnal_period_s);
+  w.field("serve.burst_start_s", scfg.burst_start_s);
+  w.field("serve.burst_len_s", scfg.burst_len_s);
+
+  // Request shape.
+  w.field("serve.prompt_mu", scfg.prompt_mu);
+  w.field("serve.prompt_sigma", scfg.prompt_sigma);
+  w.field("serve.output_mu", scfg.output_mu);
+  w.field("serve.output_sigma", scfg.output_sigma);
+
+  // Engine and SLOs.
+  w.field("serve.max_batch_requests", scfg.max_batch_requests);
+  w.field("serve.ttft_slo_ms", scfg.ttft_slo_ms);
+  w.field("serve.tpot_slo_ms", scfg.tpot_slo_ms);
+
+  // Hotspot-driven re-placement loop.
+  w.field("serve.replacement_on", scfg.replacement_on);
+  w.field("serve.hotspot_window", scfg.hotspot_window);
+  w.field("serve.hotspot_threshold", scfg.hotspot_threshold);
+  w.field("serve.hotspot_cooldown", scfg.hotspot_cooldown);
+  w.field("serve.migration_ms_per_expert", scfg.migration_ms_per_expert);
 }
 
 std::string point_cache_key(const std::string& scenario,

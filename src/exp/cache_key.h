@@ -31,12 +31,11 @@ namespace mixnet::exp {
 /// order, so durations can differ in the last ulp from v3.
 inline constexpr int kCacheSchemaVersion = 4;
 
-/// Serialize every code-relevant TrainingConfig field into `w`.
+/// Serialize every code-relevant TrainingConfig field into `w`; its `gate`
+/// goes through moe::canonicalize_gate, GateConfig's one writer.
 void canonicalize_config(const sim::TrainingConfig& cfg, CanonicalWriter& w);
 
-/// Serialize every ServeConfig field into `w` (cache_key_serve.cc — a
-/// separate translation unit so the TrainingConfig completeness analyzer
-/// never sees `scfg.` lines and vice versa).
+/// Serialize every ServeConfig field into `w`.
 void canonicalize_serve_config(const serve::ServeConfig& scfg,
                                CanonicalWriter& w);
 

@@ -141,13 +141,6 @@ SweepSpec& SweepSpec::axis(std::string name, std::vector<AxisValue> values) {
   return *this;
 }
 
-SweepSpec& SweepSpec::models(const std::vector<moe::MoeModelConfig>& models) {
-  std::vector<AxisValue> vs;
-  for (const auto& m : models)
-    vs.push_back({m.name, [m](ScenarioSpec& s) { s.model(m); }});
-  return axis("model", std::move(vs));
-}
-
 SweepSpec& SweepSpec::fabrics(const std::vector<topo::FabricKind>& kinds) {
   std::vector<AxisValue> vs;
   for (auto k : kinds)
@@ -168,15 +161,6 @@ SweepSpec& SweepSpec::micro_batches(const std::vector<int>& sizes) {
     vs.push_back(
         {std::to_string(mb), [mb](ScenarioSpec& s) { s.micro_batch(mb); }});
   return axis("micro_batch", std::move(vs));
-}
-
-SweepSpec& SweepSpec::failures(
-    const std::vector<control::FailureScenario>& scenarios) {
-  std::vector<AxisValue> vs;
-  for (const auto& f : scenarios)
-    vs.push_back(
-        {control::to_string(f.kind), [f](ScenarioSpec& s) { s.failure(f); }});
-  return axis("failure", std::move(vs));
 }
 
 Sweep SweepSpec::expand() const {

@@ -5,9 +5,9 @@
 //   * ScenarioSpec  -- fluent builder over sim::TrainingConfig plus the
 //     measurement policy (iterations per point, base seed, a post-run probe
 //     for custom metrics);
-//   * SweepSpec     -- parameter axes (models, fabrics, bandwidths,
-//     micro-batch sizes, failure scenarios, copilot on/off, or arbitrary
-//     custom axes) expanded as a cartesian grid, last axis fastest;
+//   * SweepSpec     -- parameter axes (fabrics, bandwidths, micro-batch
+//     sizes, or arbitrary custom axes) expanded as a cartesian grid, last
+//     axis fastest;
 //   * Sweep         -- the expanded point grid, with exact multi-axis
 //     indexing (`at({i, j})`) so scenario code never re-matches points by
 //     floating-point comparison of axis values.
@@ -156,11 +156,9 @@ class SweepSpec {
   SweepSpec& axis(std::string name, std::vector<AxisValue> values);
 
   // Canned axes over the standard evaluation parameters.
-  SweepSpec& models(const std::vector<moe::MoeModelConfig>& models);
   SweepSpec& fabrics(const std::vector<topo::FabricKind>& kinds);
   SweepSpec& bandwidths(const std::vector<double>& gbps);
   SweepSpec& micro_batches(const std::vector<int>& sizes);
-  SweepSpec& failures(const std::vector<control::FailureScenario>& scenarios);
 
   /// Cartesian expansion in axis declaration order, last axis fastest.
   Sweep expand() const;

@@ -476,7 +476,11 @@ ScenarioResult run_fig26_xl(const RunContext& ctx) {
   out.name = "fig26-xl";
 
   // -- Equivalence arm: same seed, same config, both core models. ----------
+  // Its analytic points are also the scale table's first rows: the same
+  // configurations, so the scale sweep does not simulate them again.
   const std::vector<int> eq_sizes = {1024, 2048};
+  std::vector<int> sizes;                   // scale table, in row order
+  std::vector<std::pair<double, double>> rows;  // (tokens/s, s/iter)
   {
     std::vector<AxisValue> size_axis;
     for (int gpus : eq_sizes)
@@ -500,20 +504,23 @@ ScenarioResult run_fig26_xl(const RunContext& ctx) {
                   18);
     for (std::size_t s = 0; s < eq_sizes.size(); ++s) {
       const double te = results[sweep.flat({s, 0})].iter_sec;
-      const double ta = results[sweep.flat({s, 1})].iter_sec;
+      const auto& analytic = results[sweep.flat({s, 1})];
+      const double ta = analytic.iter_sec;
       const double rel = te > 0.0 ? std::abs(ta - te) / te : 1.0;
       t.add_row({std::to_string(eq_sizes[s]), Cell::num(te, 6),
                  Cell::num(ta, 6), Cell::num(rel, 12)});
+      sizes.push_back(eq_sizes[s]);
+      rows.emplace_back(analytic.last().tokens_per_sec(), ta);
     }
     out.tables.push_back(std::move(t));
   }
 
   // -- Scale arm: analytic core only; the 65k/131k points are the graph
   // sizes the explicit core exists to avoid. --------------------------
-  const std::vector<int> sizes = {1024, 2048, 4096, 8192, 65536, 131072};
   {
+    const std::vector<int> larger = {4096, 8192, 65536, 131072};
     std::vector<AxisValue> size_axis;
-    for (int gpus : sizes)
+    for (int gpus : larger)
       size_axis.push_back({std::to_string(gpus), dp_for(gpus)});
     const Sweep sweep =
         SweepSpec(ScenarioSpec::paper(model, topo::FabricKind::kFatTree, 400.0,
@@ -522,19 +529,20 @@ ScenarioResult run_fig26_xl(const RunContext& ctx) {
             .axis("gpus", std::move(size_axis))
             .expand();
     const auto results = run_sweep(sweep, ctx);
-    const double ref = results[sweep.flat({std::size_t{0}})]
-                           .last()
-                           .tokens_per_sec();
+    for (std::size_t s = 0; s < larger.size(); ++s) {
+      const auto& r = results[sweep.flat({s})];
+      sizes.push_back(larger[s]);
+      rows.emplace_back(r.last().tokens_per_sec(), r.iter_sec);
+    }
+    const double ref = rows.front().first;
     ResultTable t("fig26-xl scale",
                   "Normalized tokens/s vs cluster size, analytic core "
                   "(400 Gbps)",
                   {"# GPUs", "tokens/s ratio", "s/iter"}, 18);
-    for (std::size_t s = 0; s < sizes.size(); ++s) {
-      const auto& r = results[sweep.flat({s})];
+    for (std::size_t s = 0; s < sizes.size(); ++s)
       t.add_row({std::to_string(sizes[s]),
-                 Cell::num(r.last().tokens_per_sec() / ref, 3),
-                 Cell::num(r.iter_sec, 4)});
-    }
+                 Cell::num(rows[s].first / ref, 3),
+                 Cell::num(rows[s].second, 4)});
     out.tables.push_back(std::move(t));
   }
 

@@ -2,29 +2,28 @@
 
 #include <stdexcept>
 
-#include "common/canonical.h"
-
 namespace mixnet::moe {
 
-std::string gate_trace_key(const GateConfig& gc, int warmup) {
-  // Every GateConfig field is key material (mixnet-lint's cache-key analyzer
-  // holds this function to that via tools/lint/gate_trace_key.json): two
-  // gates aliased under one key would silently share a trace.
+void canonicalize_gate(const GateConfig& gc, CanonicalWriter& w) {
+  w.field("gate.n_experts", gc.n_experts);
+  w.field("gate.n_layers", gc.n_layers);
+  w.field("gate.ep_ranks", gc.ep_ranks);
+  w.field("gate.tokens_per_rank", gc.tokens_per_rank);
+  w.field("gate.dirichlet_alpha", gc.dirichlet_alpha);
+  w.field("gate.transition_alpha", gc.transition_alpha);
+  w.field("gate.personalization", gc.personalization);
+  w.field("gate.drift_sigma", gc.drift_sigma);
+  w.field("gate.pref_drift_sigma", gc.pref_drift_sigma);
+  w.field("gate.pref_retention", gc.pref_retention);
+  w.field("gate.lb_final", gc.lb_final);
+  w.field("gate.lb_timescale", gc.lb_timescale);
+  w.field("gate.seed", gc.seed);
+  w.field("gate.rng_mode", static_cast<int>(gc.rng_mode));
+}
+
+std::string gate_trace_key(const GateConfig& gate, int warmup) {
   CanonicalWriter w;
-  w.field("n_experts", gc.n_experts);
-  w.field("n_layers", gc.n_layers);
-  w.field("ep_ranks", gc.ep_ranks);
-  w.field("tokens_per_rank", gc.tokens_per_rank);
-  w.field("dirichlet_alpha", gc.dirichlet_alpha);
-  w.field("transition_alpha", gc.transition_alpha);
-  w.field("personalization", gc.personalization);
-  w.field("drift_sigma", gc.drift_sigma);
-  w.field("pref_drift_sigma", gc.pref_drift_sigma);
-  w.field("pref_retention", gc.pref_retention);
-  w.field("lb_final", gc.lb_final);
-  w.field("lb_timescale", gc.lb_timescale);
-  w.field("seed", gc.seed);
-  w.field("rng_mode", static_cast<int>(gc.rng_mode));
+  canonicalize_gate(gate, w);
   w.field("warmup", warmup);
   return w.digest_hex();
 }

@@ -24,13 +24,21 @@
 #include <string>
 #include <vector>
 
+#include "common/canonical.h"
 #include "common/matrix.h"
 #include "moe/gate.h"
 
 namespace mixnet::moe {
 
-/// Content key of a gate trace: every GateConfig field plus the warm-up,
-/// 32 lowercase hex chars. Equal keys give bit-identical traces.
+/// Serialize every GateConfig field into `w` as "gate.<field>": the one
+/// writer of GateConfig key material, shared by the result-cache key
+/// (exp::canonicalize_config) and gate_trace_key. mixnet-lint's cache-key
+/// analyzer holds it to every field (tools/lint/cache_key.json): two gates
+/// aliased under one key would silently share a trace and a cached result.
+void canonicalize_gate(const GateConfig& gc, CanonicalWriter& w);
+
+/// Content key of a gate trace: canonicalize_gate plus the warm-up, 32
+/// lowercase hex chars. Equal keys give bit-identical traces.
 std::string gate_trace_key(const GateConfig& gate, int warmup);
 
 class GateTrace {

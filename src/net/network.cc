@@ -10,17 +10,15 @@ void Network::reserve(std::size_t nodes, std::size_t links) {
   links_.reserve(links);
 }
 
-NodeId Network::add_node(NodeKind kind, std::string label) {
+NodeId Network::add_node(NodeKind kind) {
   Node n;
   n.kind = kind;
-  n.label = std::move(label);
   nodes_.push_back(std::move(n));
   ++version_;
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
-LinkId Network::add_link(NodeId src, NodeId dst, Bps capacity, TimeNs delay,
-                         std::string label) {
+LinkId Network::add_link(NodeId src, NodeId dst, Bps capacity, TimeNs delay) {
   assert(src >= 0 && static_cast<std::size_t>(src) < nodes_.size());
   assert(dst >= 0 && static_cast<std::size_t>(dst) < nodes_.size());
   assert(src != dst);
@@ -29,8 +27,7 @@ LinkId Network::add_link(NodeId src, NodeId dst, Bps capacity, TimeNs delay,
   l.dst = dst;
   l.capacity = capacity;
   l.delay = delay;
-  l.label = std::move(label);
-  links_.push_back(std::move(l));
+  links_.push_back(l);
   const auto id = static_cast<LinkId>(links_.size() - 1);
   nodes_[static_cast<std::size_t>(src)].out_links.push_back(id);
   nodes_[static_cast<std::size_t>(dst)].in_links.push_back(id);
@@ -39,9 +36,9 @@ LinkId Network::add_link(NodeId src, NodeId dst, Bps capacity, TimeNs delay,
 }
 
 std::pair<LinkId, LinkId> Network::add_duplex(NodeId a, NodeId b, Bps capacity,
-                                              TimeNs delay, std::string label) {
-  LinkId ab = add_link(a, b, capacity, delay, label);
-  LinkId ba = add_link(b, a, capacity, delay, std::move(label));
+                                              TimeNs delay) {
+  LinkId ab = add_link(a, b, capacity, delay);
+  LinkId ba = add_link(b, a, capacity, delay);
   return {ab, ba};
 }
 

@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -31,7 +31,6 @@ enum class NodeKind : std::uint8_t {
 
 struct Node {
   NodeKind kind = NodeKind::kServer;
-  std::string label;
   std::vector<LinkId> out_links;
   std::vector<LinkId> in_links;
 };
@@ -42,7 +41,6 @@ struct Link {
   Bps capacity = 0.0;
   TimeNs delay = 0;
   bool up = true;
-  std::string label;
 };
 
 class Network {
@@ -53,15 +51,14 @@ class Network {
   /// vectors. Safe to call repeatedly; never shrinks.
   void reserve(std::size_t nodes, std::size_t links);
 
-  NodeId add_node(NodeKind kind, std::string label = {});
+  NodeId add_node(NodeKind kind);
 
   /// Add a single directed link; returns its id.
-  LinkId add_link(NodeId src, NodeId dst, Bps capacity, TimeNs delay,
-                  std::string label = {});
+  LinkId add_link(NodeId src, NodeId dst, Bps capacity, TimeNs delay);
 
   /// Add a pair of directed links (a->b and b->a); returns {ab, ba}.
   std::pair<LinkId, LinkId> add_duplex(NodeId a, NodeId b, Bps capacity,
-                                       TimeNs delay, std::string label = {});
+                                       TimeNs delay);
 
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t link_count() const { return links_.size(); }

@@ -1,8 +1,8 @@
 // Serving-workload configuration (DESIGN.md §11).
 //
 // Every field is a flat scalar on purpose: ServeConfig is cache-key material
-// (exp/cache_key_serve.cc serializes each leaf; the mixnet-lint cache-key
-// analyzer for tools/lint/cache_key_serve.json enforces completeness), and
+// (exp::canonicalize_serve_config in exp/cache_key.cc serializes each leaf;
+// the mixnet-lint cache-key analyzer enforces completeness), and
 // flat scalars keep the leaf expansion trivially exhaustive.
 #pragma once
 

@@ -211,18 +211,17 @@ void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
   }
 
   const NodeId core =
-      core_collapsed_ ? net::kInvalidNode : net_.add_node(NodeKind::kSwitch, "core");
+      core_collapsed_ ? net::kInvalidNode : net_.add_node(NodeKind::kSwitch);
   if (!core_collapsed_) ++n_switches_;
   for (int r = 0; r < n_racks; ++r) {
-    const NodeId tor = net_.add_node(NodeKind::kSwitch, "tor" + std::to_string(r));
+    const NodeId tor = net_.add_node(NodeKind::kSwitch);
     ++n_switches_;
     int servers_in_rack = 0;
     for (int s = r * spr; s < std::min(n, (r + 1) * spr); ++s) {
       for (int nic = 0; nic < nics_toward_eps; ++nic) {
-        const auto [up, down] = net_.add_duplex(
-            servers_[static_cast<std::size_t>(s)], tor, cfg_.nic_bw(),
-            cfg_.link_delay,
-            "eps s" + std::to_string(s) + " nic" + std::to_string(nic));
+        const auto [up, down] =
+            net_.add_duplex(servers_[static_cast<std::size_t>(s)], tor,
+                            cfg_.nic_bw(), cfg_.link_delay);
         if (analytic_) {
           nic_up_.push_back(up);
           nic_down_.push_back(down);
@@ -233,8 +232,7 @@ void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
     if (core_collapsed_) continue;
     const Bps up_cap = cfg_.nic_bw() * nics_toward_eps * servers_in_rack / oversub;
     const auto [up, down] =
-        net_.add_duplex(tor, core, up_cap, cfg_.link_delay,
-                        "uplink" + std::to_string(r));
+        net_.add_duplex(tor, core, up_cap, cfg_.link_delay);
     if (analytic_) {
       rack_up_[static_cast<std::size_t>(r)] = up;
       rack_down_[static_cast<std::size_t>(r)] = down;
@@ -254,21 +252,20 @@ void Fabric::build_rail_optimized() {
                    static_cast<std::size_t>(n_pods) * rails,
                net_.link_count() + static_cast<std::size_t>(n) * rails * 2 +
                    static_cast<std::size_t>(n_pods) * rails * 2);
-  const NodeId core = net_.add_node(NodeKind::kSwitch, "core");
+  const NodeId core = net_.add_node(NodeKind::kSwitch);
   ++n_switches_;
   for (int p = 0; p < n_pods; ++p) {
     const int lo = p * pod_size;
     const int hi = std::min(n, (p + 1) * pod_size);
     for (int rail = 0; rail < rails; ++rail) {
-      const NodeId sw = net_.add_node(
-          NodeKind::kSwitch, "rail" + std::to_string(p) + "." + std::to_string(rail));
+      const NodeId sw = net_.add_node(NodeKind::kSwitch);
       ++n_switches_;
       for (int s = lo; s < hi; ++s) {
         net_.add_duplex(servers_[static_cast<std::size_t>(s)], sw, cfg_.nic_bw(),
-                        cfg_.link_delay, "rail-nic");
+                        cfg_.link_delay);
       }
       const Bps up = cfg_.nic_bw() * (hi - lo);  // 1:1 toward core
-      net_.add_duplex(sw, core, up, cfg_.link_delay, "rail-up");
+      net_.add_duplex(sw, core, up, cfg_.link_delay);
     }
   }
 }
@@ -288,7 +285,7 @@ Fabric Fabric::build(const FabricConfig& cfg) {
   f.servers_.reserve(static_cast<std::size_t>(cfg.n_servers));
   for (int s = 0; s < cfg.n_servers; ++s)
     f.servers_.push_back(
-        f.net_.add_node(NodeKind::kServer, "server" + std::to_string(s)));
+        f.net_.add_node(NodeKind::kServer));
 
   switch (cfg.kind) {
     case FabricKind::kFatTree:
@@ -477,7 +474,7 @@ int Fabric::apply_circuits(int region, const Matrix& counts) {
       if (it == reg.end()) {
         const NodeId a = servers_[static_cast<std::size_t>(members[i])];
         const NodeId b = servers_[static_cast<std::size_t>(members[j])];
-        auto [fwd, rev] = net_.add_duplex(a, b, cap, cfg_.link_delay, "circuit");
+        auto [fwd, rev] = net_.add_duplex(a, b, cap, cfg_.link_delay);
         reg.emplace(key, CircuitPair{fwd, rev, want});
         ++touched;
       } else if (it->second.count != want) {

@@ -14,6 +14,7 @@
 
 #include "common/canonical.h"
 #include "exp/cache_key.h"
+#include "exp/registry.h"
 #include "exp/result_cache.h"
 #include "exp/runner.h"
 #include "exp/scenario.h"
@@ -396,6 +397,28 @@ TEST(SweepEngine, OneGateTracePerKeyAndNoneOnAWarmCache) {
     EXPECT_EQ(stats.hits, warm ? 20u : 0u);
     EXPECT_EQ(stats.failed, 0u);
   }
+}
+
+TEST(SweepEngine, Fig26XlComputesEachContentKeyOnce) {
+  // fig26-xl's scale table starts with the equivalence sweep's analytic
+  // 1024- and 2048-GPU points; it reads them instead of sweeping the same
+  // content keys again, so a cold cache serves nothing and computes 8.
+  TempCacheDir dir;
+  ResultCache cache(dir.path);
+  SweepStats stats;
+  RunContext ctx;
+  ctx.scenario = "fig26-xl";
+  ctx.cache = &cache;
+  ctx.stats = &stats;
+  ctx.jobs = 2;
+  const ScenarioInfo* s = ScenarioRegistry::paper().find("fig26-xl");
+  ASSERT_NE(s, nullptr);
+  const ScenarioResult r = s->run(ctx);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.points, 8u);
+  EXPECT_EQ(stats.computed, 8u);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_TRUE(s->check(r).empty());
 }
 
 TEST(SweepEngine, ShardedRunsMergeBitIdenticalToSerial) {

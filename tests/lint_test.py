@@ -5,17 +5,20 @@ Three kinds of coverage:
 
   * the real tree passes all three analyzers (the gate CI runs is green);
   * fixture trees under tests/lint/fixtures/ each contain one known
-    violation class (illegal DAG edge + CMake drift, dropped cache-key
-    field, banned nondeterminism call, unordered container in an emit
-    path) and must fail with the precise diagnostic;
-  * the acceptance loop: deleting ANY single field-serialization line from
-    the real src/exp/cache_key.cc must turn the cache-key analyzer red.
+    violation class (an include edge missing from the CMake DEPS, dropped
+    cache-key field, banned nondeterminism call, unordered container in an
+    emit path) and must fail with the precise diagnostic;
+  * the acceptance loop: deleting ANY single field-serialization line of
+    any gate in tools/lint/cache_key.json (TrainingConfig, ServeConfig,
+    GateConfig), or the canonicalize_gate call, must turn the cache-key
+    analyzer red.
 
 Run directly (`python3 tests/lint_test.py`) or via CTest (`lint_test`).
 """
 
 import json
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -53,37 +56,33 @@ class DagFixture(unittest.TestCase):
     FIX = FIXTURES / "dag_violation"
 
     def run_fixture(self):
-        return run_lint("dag", "--root", str(self.FIX),
-                        "--layers", str(self.FIX / "layers.json"))
+        return run_lint("dag", "--root", str(self.FIX))
 
     def test_upward_include_edge_fails_with_precise_diagnostic(self):
         code, out, _ = self.run_fixture()
         self.assertEqual(code, 1)
         self.assertIn(
-            "src/common/bad.cc:1: [dag] include edge 'common' -> 'exp'", out)
+            "src/common/bad.cc:1: [dag] include edge 'common' -> 'exp' is "
+            "not in the DEPS of src/common/CMakeLists.txt", out)
         self.assertIn("declared deps of 'common': <none>", out)
-
-    def test_cmake_deps_drift_is_reported(self):
-        _, out, _ = self.run_fixture()
-        self.assertIn("src/common/CMakeLists.txt:1: [dag]", out)
-        self.assertIn("drift", out)
-        self.assertIn("not in layer graph: {exp}", out)
 
     def test_commented_include_does_not_register_an_edge(self):
         # src/exp/high.h mentions an include inside a comment; the only
-        # diagnostics must be the two real ones.
+        # diagnostic must be the real one.
         _, out, _ = self.run_fixture()
         diags = [l for l in out.splitlines() if ": [dag]" in l]
-        self.assertEqual(len(diags), 2, out)
+        self.assertEqual(len(diags), 1, out)
 
-    def test_cycle_in_layer_graph_is_a_config_error(self):
-        with tempfile.NamedTemporaryFile("w", suffix=".json") as f:
-            f.write('{"layers": {"common": ["exp"], "exp": ["common"]}}')
-            f.flush()
-            code, _, err = run_lint("dag", "--root", str(self.FIX),
-                                    "--layers", f.name)
+    def test_cycle_in_cmake_deps_is_a_config_error(self):
+        with tempfile.TemporaryDirectory() as td:
+            tree = Path(td) / "tree"
+            shutil.copytree(self.FIX, tree)
+            cml = tree / "src" / "common" / "CMakeLists.txt"
+            cml.write_text(cml.read_text().replace(
+                "SOURCES bad.cc", "SOURCES bad.cc\n  DEPS mixnet_exp"))
+            code, _, err = run_lint("dag", "--root", str(tree))
         self.assertEqual(code, 2)
-        self.assertIn("cycle", err)
+        self.assertIn("cycle through {common, exp}", err)
 
 
 class CacheKeyFixture(unittest.TestCase):
@@ -114,72 +113,71 @@ class CacheKeyFixture(unittest.TestCase):
 
 
 class CacheKeyAcceptance(unittest.TestCase):
+    CONFIG = ROOT / "tools" / "lint" / "cache_key.json"
+
+    def lint_with(self, td, gate, impl):
+        """The real cache-key config with `gate`'s impl swapped for `impl`."""
+        cfg = json.loads(self.CONFIG.read_text())
+        for g in cfg["gates"]:
+            if g["struct"] == gate["struct"]:
+                g["impl"] = str(impl)
+        path = Path(td) / "cache_key.json"
+        path.write_text(json.dumps(cfg))
+        return [d.render() for d in mixnet_lint.check_cache_key(ROOT, path)]
+
     def test_deleting_any_serialization_line_turns_the_gate_red(self):
         # The DESIGN.md §9 acceptance criterion, exhaustively: for every
-        # `w.field("<name>", cfg.<path>)` line in the real cache_key.cc,
+        # `w.field("<name>", <variable>.<path>)` line of every gate's writer,
         # removing just that line must produce a cache-key violation naming
         # that path. Runs in-process (one subprocess per field would
         # dominate the suite's wall time).
+        gates = json.loads(self.CONFIG.read_text())["gates"]
+        self.assertEqual(sorted(g["struct"] for g in gates),
+                         ["GateConfig", "ServeConfig", "TrainingConfig"])
+        for gate in gates:
+            lines = (ROOT / gate["impl"]).read_text().splitlines(keepends=True)
+            field_re = re.compile(
+                r'w\.field\("[^"]+",\s*(?:static_cast<[\w:]+>\()?\b'
+                + re.escape(gate["variable"]) + r'\.([\w.]+)\)')
+            field_lines = [(i, m.group(1)) for i, l in enumerate(lines)
+                           for m in [field_re.search(l)] if m]
+            self.assertGreaterEqual(len(field_lines), 14,
+                                    f"{gate['impl']} lost its field lines?")
+            with tempfile.TemporaryDirectory() as td:
+                mutated = Path(td) / "impl_mut.cc"
+                for i, path in field_lines:
+                    mutated.write_text("".join(lines[:i] + lines[i + 1:]))
+                    rendered = self.lint_with(td, gate, mutated)
+                    self.assertTrue(
+                        any(f"{gate['struct']} field '{path}' is not "
+                            f"serialized" in r for r in rendered),
+                        f"deleting {gate['struct']}'s serialization of "
+                        f"'{path}' went undetected; diagnostics: {rendered}")
+
+    def test_training_gate_subtree_is_covered_only_by_its_writer(self):
+        # TrainingConfig's `gate` is GateConfig key material: it counts as
+        # serialized only through moe::canonicalize_gate, and its fields
+        # may not be written a second time anywhere else.
+        gate = {"struct": "TrainingConfig"}
         impl = ROOT / "src" / "exp" / "cache_key.cc"
-        lines = impl.read_text().splitlines(keepends=True)
-        field_lines = [
-            (i, m.group(1))
-            for i, l in enumerate(lines)
-            for m in [re.search(r'w\.field\("[^"]+",\s*cfg\.([\w.]+)\)', l)]
-            if m
-        ]
-        self.assertGreaterEqual(len(field_lines), 50,
-                                "cache_key.cc lost its field lines?")
+        text = impl.read_text()
+        call = "  moe::canonicalize_gate(cfg.gate, w);\n"
+        self.assertIn(call, text)
         with tempfile.TemporaryDirectory() as td:
             mutated = Path(td) / "cache_key_mut.cc"
-            for i, path in field_lines:
-                mutated.write_text("".join(lines[:i] + lines[i + 1:]))
-                diags = mixnet_lint.check_cache_key(
-                    ROOT, self.write_config(td, mutated))
-                rendered = [d.render() for d in diags]
-                self.assertTrue(
-                    any(f"'{path}'" in r and "not serialized" in r
-                        for r in rendered),
-                    f"deleting serialization of '{path}' went undetected; "
-                    f"diagnostics: {rendered}")
+            mutated.write_text(text.replace(call, ""))
+            rendered = self.lint_with(td, gate, mutated)
+            self.assertTrue(any(
+                "TrainingConfig field 'gate' is not serialized" in r and
+                "canonicalize_gate" in r for r in rendered), rendered)
 
-    def test_deleting_any_gate_trace_key_line_turns_the_gate_red(self):
-        # The same acceptance loop over the gate-trace key (DESIGN.md §8):
-        # a GateConfig field left out of moe::gate_trace_key would let two
-        # different gates share one recorded trace.
-        impl = ROOT / "src" / "moe" / "gate_trace.cc"
-        lines = impl.read_text().splitlines(keepends=True)
-        field_lines = [
-            (i, m.group(1))
-            for i, l in enumerate(lines)
-            for m in [re.search(r'w\.field\("[^"]+",\s*(?:static_cast<int>\()?'
-                                r'gc\.([\w.]+)\)', l)]
-            if m
-        ]
-        self.assertEqual(len(field_lines), 14,
-                         "gate_trace.cc lost its field lines?")
-        with tempfile.TemporaryDirectory() as td:
-            mutated = Path(td) / "gate_trace_mut.cc"
-            for i, path in field_lines:
-                mutated.write_text("".join(lines[:i] + lines[i + 1:]))
-                diags = mixnet_lint.check_cache_key(
-                    ROOT, self.write_config(td, mutated, "GateConfig",
-                                            "src/moe/gate.h", "gc"))
-                self.assertTrue(
-                    any(f"'{path}'" in d.render() and
-                        "not serialized" in d.render() for d in diags),
-                    f"deleting serialization of '{path}' went undetected")
-
-    @staticmethod
-    def write_config(tmpdir, mutated_impl, struct="TrainingConfig",
-                     header="src/sim/training_sim.h", variable="cfg"):
-        cfg = Path(tmpdir) / "cache_key.json"
-        cfg.write_text(
-            f'{{"struct": "{struct}",'
-            f'"header": "{header}",'
-            f'"impl": "{mutated_impl}",'
-            f'"variable": "{variable}", "search": ["src"], "allow": []}}')
-        return cfg
+            mutated.write_text(text.replace(
+                call, call + '  w.field("gate.seed", cfg.gate.seed);\n'))
+            rendered = self.lint_with(td, gate, mutated)
+            self.assertEqual(len(rendered), 1, rendered)
+            self.assertIn("'cfg.gate.seed' is written outside "
+                          "canonicalize_gate, the one writer of GateConfig",
+                          rendered[0])
 
 
 class DeterminismFixture(unittest.TestCase):

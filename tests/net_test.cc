@@ -16,9 +16,9 @@ namespace {
 
 TEST(Network, AddNodesAndLinks) {
   Network net;
-  NodeId a = net.add_node(NodeKind::kServer, "a");
-  NodeId b = net.add_node(NodeKind::kSwitch, "b");
-  LinkId l = net.add_link(a, b, gbps(100), us_to_ns(1), "ab");
+  NodeId a = net.add_node(NodeKind::kServer);
+  NodeId b = net.add_node(NodeKind::kSwitch);
+  LinkId l = net.add_link(a, b, gbps(100), us_to_ns(1));
   EXPECT_EQ(net.node_count(), 2u);
   EXPECT_EQ(net.link_count(), 1u);
   EXPECT_EQ(net.link(l).src, a);
@@ -70,13 +70,13 @@ struct LeafSpine {
   Network net;
   NodeId s0, s1, s2, s3, t0, t1, core;
   LeafSpine() {
-    s0 = net.add_node(NodeKind::kServer, "s0");
-    s1 = net.add_node(NodeKind::kServer, "s1");
-    s2 = net.add_node(NodeKind::kServer, "s2");
-    s3 = net.add_node(NodeKind::kServer, "s3");
-    t0 = net.add_node(NodeKind::kSwitch, "t0");
-    t1 = net.add_node(NodeKind::kSwitch, "t1");
-    core = net.add_node(NodeKind::kSwitch, "core");
+    s0 = net.add_node(NodeKind::kServer);
+    s1 = net.add_node(NodeKind::kServer);
+    s2 = net.add_node(NodeKind::kServer);
+    s3 = net.add_node(NodeKind::kServer);
+    t0 = net.add_node(NodeKind::kSwitch);
+    t1 = net.add_node(NodeKind::kSwitch);
+    core = net.add_node(NodeKind::kSwitch);
     for (NodeId s : {s0, s1}) net.add_duplex(s, t0, gbps(100), us_to_ns(1));
     for (NodeId s : {s2, s3}) net.add_duplex(s, t1, gbps(100), us_to_ns(1));
     net.add_duplex(t0, core, gbps(200), us_to_ns(1));

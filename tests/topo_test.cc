@@ -49,12 +49,15 @@ TEST(Fabric, OverSubUplinkIsSlimmer) {
   FabricConfig oc = base_config(FabricKind::kOverSubFatTree, 8);
   oc.oversub = 3.0;
   Fabric f3 = Fabric::build(oc);
-  // Find uplink capacities (links into the core node, which is node index
-  // n_servers in construction order).
+  // Sum the ToR<->core uplink capacities: the only switch-to-switch links
+  // of a leaf-spine fabric.
   auto uplink_cap = [](const Fabric& f) {
+    const net::Network& n = f.network();
     Bps total = 0;
-    for (const auto& l : f.network().links()) {
-      if (f.network().node(l.dst).label == "core") total += l.capacity;
+    for (const auto& l : n.links()) {
+      if (n.node(l.src).kind == net::NodeKind::kSwitch &&
+          n.node(l.dst).kind == net::NodeKind::kSwitch)
+        total += l.capacity;
     }
     return total;
   };
@@ -247,8 +250,12 @@ TEST(AnalyticCore, CollapsedFatTreeDropsCoreFromGraph) {
   EXPECT_EQ(a.network().link_count(), 8u * 8u * 2u);
   EXPECT_GT(e.network().link_count(), a.network().link_count());
   EXPECT_EQ(e.network().node_count(), a.network().node_count() + 1);
-  for (const auto& l : a.network().links())
-    EXPECT_NE(a.network().node(l.dst).label, "core");
+  // Every remaining link is a server<->ToR NIC link: none ends at a node
+  // other than a server or a ToR.
+  const net::Network& n = a.network();
+  for (const auto& l : n.links())
+    EXPECT_TRUE(n.node(l.src).kind == net::NodeKind::kServer ||
+                n.node(l.dst).kind == net::NodeKind::kServer);
 }
 
 TEST(AnalyticCore, OversubscribedCoreKeepsUplinksButRoutesO1) {

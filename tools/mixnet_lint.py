@@ -1,26 +1,31 @@
 #!/usr/bin/env python3
 """mixnet-lint: project-specific static analysis for the MixNet repo.
 
-Three analyzers (DESIGN.md §10), each driven by a declarative config under
-tools/lint/ so the invariants live in-tree next to the code they guard:
+Three analyzers (DESIGN.md §10). The layer graph is the build's own: each
+src/<layer>/CMakeLists.txt's mixnet_add_layer(<layer> ... DEPS ...). The
+other two are driven by a declarative config under tools/lint/, so the
+invariants live in-tree next to the code they guard:
 
-  dag          Layer-DAG include checker. Reads tools/lint/layers.json (the
-               declarative layer graph) and fails on any `#include` edge in
-               src/ that is not a declared direct dependency of the including
-               layer. Also cross-checks layers.json against each layer's
-               CMakeLists.txt DEPS list so the two inventories cannot drift,
-               validates the graph is acyclic, and rejects relative or
+  dag          Layer-DAG include checker. Fails on any `#include` edge in
+               src/ that is not a DEPS entry of the including layer, checks
+               that the DEPS graph is acyclic and that every src/ directory
+               with sources declares a layer, and rejects relative or
                unprefixed quoted includes.
 
-  cache-key    Cache-key completeness checker. Parses the TrainingConfig
-               struct (and, recursively, every nested config struct) out of
-               the C++ headers and verifies each leaf field is either
-               serialized as `cfg.<path>` in src/exp/cache_key.cc or listed
-               in the explicit allowlist of non-semantic fields. This is the
-               machine check behind DESIGN.md §9's schema discipline: a
-               TrainingConfig field the key cannot see means the cache
-               silently serves stale results. Stale serializer lines and
-               stale allowlist entries are errors too.
+  cache-key    Cache-key completeness checker. For each gate in
+               tools/lint/cache_key.json (TrainingConfig, ServeConfig,
+               GateConfig) it parses the config struct (and, recursively,
+               every nested config struct) out of the C++ headers and
+               verifies each leaf field is either serialized as
+               `<variable>.<path>` in the gate's impl file or listed in its
+               allowlist of non-semantic fields. A nested struct with a gate
+               of its own is covered only by passing it whole to that gate's
+               writer (TrainingConfig's `gate` goes through
+               moe::canonicalize_gate), so each struct has one writer. This
+               is the machine check behind DESIGN.md §9's schema discipline:
+               a field the key cannot see means the cache silently serves
+               stale results. Stale serializer lines and stale allowlist
+               entries are errors too.
 
   determinism  Determinism lint. Bans wall-clock and libc-RNG calls
                (`rand()`, `std::random_device`, `time()`,
@@ -184,25 +189,27 @@ def cmake_declared_deps(cmake_text, layer):
     return None
 
 
-def check_dag(root, config_path):
-    cfg = load_json(config_path)
-    layers = cfg.get("layers")
-    if not isinstance(layers, dict) or not layers:
-        raise LintConfigError(f"{config_path}: expected a non-empty 'layers' map")
-
-    diags = []
-    cfg_rel = rel(config_path, root)
-
+def cmake_layer_graph(root, src):
+    """The layer graph as the build declares it: each src/ subdirectory with
+    sources -> the DEPS of its mixnet_add_layer() call."""
+    layers = {}
+    for d in sorted(p for p in src.iterdir() if p.is_dir()):
+        if not source_files(d):
+            continue
+        cml = d / "CMakeLists.txt"
+        deps = cmake_declared_deps(read_text(cml), d.name) \
+            if cml.is_file() else None
+        if deps is None:
+            raise LintConfigError(
+                f"{rel(cml, root)}: src/{d.name}/ has sources but no "
+                f"mixnet_add_layer({d.name} ...)")
+        layers[d.name] = deps
     for layer, deps in layers.items():
         for d in deps:
             if d not in layers:
                 raise LintConfigError(
-                    f"{config_path}: layer '{layer}' depends on unknown layer '{d}'"
-                )
-            if d == layer:
-                raise LintConfigError(
-                    f"{config_path}: layer '{layer}' depends on itself"
-                )
+                    f"src/{layer}/CMakeLists.txt: layer '{layer}' DEPS "
+                    f"mixnet_{d}, which is not a layer")
 
     # Acyclicity: Kahn's algorithm over the declared graph.
     indeg = {l: 0 for l in layers}
@@ -221,47 +228,21 @@ def check_dag(root, config_path):
     if seen != len(layers):
         cyc = sorted(l for l, k in indeg.items() if k > 0)
         raise LintConfigError(
-            f"{config_path}: layer graph has a cycle through {{{', '.join(cyc)}}}"
-        )
+            f"layer DEPS have a cycle through {{{', '.join(cyc)}}}")
+    return layers
 
+
+def check_dag(root):
     src = root / "src"
     if not src.is_dir():
         raise LintConfigError(f"{src}: no src/ directory under --root")
+    layers = cmake_layer_graph(root, src)
 
-    # Every src/ subdirectory with sources is a declared layer and vice versa.
-    actual = sorted(
-        d.name for d in src.iterdir() if d.is_dir() and source_files(d)
-    )
-    for d in actual:
-        if d not in layers:
-            diags.append(Diagnostic(cfg_rel, 1, "dag",
-                f"src/{d}/ exists but is not declared in the layer graph"))
-    for l in sorted(layers):
-        if l not in actual:
-            diags.append(Diagnostic(cfg_rel, 1, "dag",
-                f"layer '{l}' is declared but src/{l}/ has no sources"))
-
-    # Cross-check: layers.json deps must match the CMake DEPS inventory.
-    for layer in sorted(layers):
-        cml = src / layer / "CMakeLists.txt"
-        if not cml.is_file():
-            continue
-        declared = cmake_declared_deps(read_text(cml), layer)
-        if declared is None:
-            continue
-        want, got = set(layers[layer]), set(declared)
-        if want != got:
-            missing = ", ".join(sorted(want - got)) or "-"
-            extra = ", ".join(sorted(got - want)) or "-"
-            diags.append(Diagnostic(rel(cml, root), 1, "dag",
-                f"CMake DEPS for layer '{layer}' drift from {cfg_rel}: "
-                f"missing in CMake: {{{missing}}}, not in layer graph: {{{extra}}}"))
-
-    # The include edges themselves.
+    diags = []
     for f in source_files(src):
         layer = rel(f, root).parts[1]
         if layer not in layers:
-            continue  # already reported above
+            continue  # a source file directly under src/
         allowed = set(layers[layer]) | {layer}
         text = strip_comments_and_strings(read_text(f), keep_strings=True)
         for m in INCLUDE_RE.finditer(text):
@@ -280,8 +261,9 @@ def check_dag(root, config_path):
             if first not in allowed:
                 deps = ", ".join(sorted(layers[layer])) or "<none>"
                 diags.append(Diagnostic(rel(f, root), line, "dag",
-                    f"include edge '{layer}' -> '{first}' violates {cfg_rel} "
-                    f"(declared deps of '{layer}': {deps})"))
+                    f"include edge '{layer}' -> '{first}' is not in the DEPS "
+                    f"of src/{layer}/CMakeLists.txt (declared deps of "
+                    f"'{layer}': {deps})"))
     return diags
 
 
@@ -369,33 +351,51 @@ def build_struct_index(root, search_dirs):
     return index
 
 
-def expand_leaf_paths(index, struct_name, prefix, out, stack):
+def expand_leaf_paths(index, struct_name, prefix, out, stack, delegates,
+                      delegated):
+    """Leaf field paths of struct_name into `out`. A nested struct with a
+    writer of its own (`delegates`: struct -> writer) stays one path, noted
+    in `delegated`: its fields are that writer's to serialize."""
     if struct_name in stack:
         raise LintConfigError(
             f"config struct cycle through '{struct_name}'")
     relpath, fields = index[struct_name]
     for ftype, fname, line in fields:
         simple = ftype.split("<", 1)[0].split("::")[-1].strip("&* ")
-        if "<" not in ftype and simple in index:
+        if "<" not in ftype and simple in delegates:
+            out[prefix + fname] = (relpath, line)
+            delegated[prefix + fname] = simple
+        elif "<" not in ftype and simple in index:
             expand_leaf_paths(index, simple, prefix + fname + ".", out,
-                              stack | {struct_name})
+                              stack | {struct_name}, delegates, delegated)
         else:
             out[prefix + fname] = (relpath, line)
 
 
 def check_cache_key(root, config_path):
     cfg = load_json(config_path)
-    for k in ("struct", "header", "impl"):
-        if k not in cfg:
-            raise LintConfigError(f"{config_path}: missing '{k}'")
-    struct_name = cfg["struct"]
-    header = root / cfg["header"]
-    impl = root / cfg["impl"]
-    search_dirs = cfg.get("search", ["src"])
-    var = cfg.get("variable", "cfg")
-    allow = cfg.get("allow", [])
+    gates = cfg.get("gates")
+    if not isinstance(gates, list) or not gates:
+        raise LintConfigError(f"{config_path}: expected a non-empty 'gates' list")
+    for g in gates:
+        for k in ("struct", "header", "impl", "variable", "writer"):
+            if k not in g:
+                raise LintConfigError(f"{config_path}: a gate is missing '{k}'")
+    index = build_struct_index(root, cfg.get("search", ["src"]))
+    writers = {g["struct"]: g["writer"] for g in gates}
+    diags = []
+    for g in gates:
+        diags.extend(check_gate(root, config_path, index, writers, g))
+    return diags
 
-    index = build_struct_index(root, search_dirs)
+
+def check_gate(root, config_path, index, writers, gate):
+    struct_name = gate["struct"]
+    header = root / gate["header"]
+    impl = root / gate["impl"]
+    var = gate["variable"]
+    writer = writers[struct_name]
+
     if struct_name not in index:
         raise LintConfigError(
             f"{header}: struct '{struct_name}' not found in search dirs")
@@ -404,19 +404,42 @@ def check_cache_key(root, config_path):
             f"struct '{struct_name}' found in {index[struct_name][0]}, "
             f"but config names {rel(header, root)}")
 
-    leaves = {}
-    expand_leaf_paths(index, struct_name, "", leaves, frozenset())
-
     impl_text = strip_comments_and_strings(read_text(impl))
-    serial_re = re.compile(re.escape(var) + r"\.([A-Za-z_][\w.]*)")
+    if not re.search(rf"\b{re.escape(writer)}\s*\(\s*const\s+(?:\w+::)*"
+                     rf"{re.escape(struct_name)}\s*&\s*{re.escape(var)}\b",
+                     impl_text):
+        raise LintConfigError(
+            f"{rel(impl, root)}: no definition of "
+            f"{writer}(const {struct_name}& {var}, ...)")
+
+    leaves, delegated = {}, {}
+    delegates = {s: w for s, w in writers.items() if s != struct_name}
+    expand_leaf_paths(index, struct_name, "", leaves, frozenset(), delegates,
+                      delegated)
+
+    def line_of(pos):
+        return impl_text.count("\n", 0, pos) + 1
+
+    # A delegated subtree is covered only by passing it whole to its
+    # struct's writer: `writer(var.path, ...)`.
+    calls, call_spans = {}, []
+    for path, sub in delegated.items():
+        for m in re.finditer(rf"\b{re.escape(writers[sub])}\s*\(\s*"
+                             rf"{re.escape(var)}\.{re.escape(path)}\s*,",
+                             impl_text):
+            calls.setdefault(path, line_of(m.start()))
+            call_spans.append(m.span())
+
+    # \b: the `cfg` gate must not read `scfg.` lines as its own.
+    serial_re = re.compile(r"\b" + re.escape(var) + r"\.([A-Za-z_][\w.]*)")
     serialized = {}  # path -> first line
     for m in serial_re.finditer(impl_text):
-        path = m.group(1).rstrip(".")
-        line = impl_text.count("\n", 0, m.start()) + 1
-        serialized.setdefault(path, line)
+        if any(a <= m.start() < b for a, b in call_spans):
+            continue
+        serialized.setdefault(m.group(1).rstrip("."), line_of(m.start()))
 
     allowed = {}
-    for entry in allow:
+    for entry in gate.get("allow", []):
         if not isinstance(entry, dict) or "field" not in entry or \
                 not entry.get("reason"):
             raise LintConfigError(
@@ -427,25 +450,34 @@ def check_cache_key(root, config_path):
     cfg_rel = rel(config_path, root)
     impl_rel = rel(impl, root)
 
-    # A serialized path may be a leaf or an interior node a helper consumes
-    # whole (none today, but e.g. `hash(cfg.gate)` would be). Accept exact
-    # leaf matches only: interior matches would hide nested-field drops.
+    # A serialized path must be a leaf exactly: an interior match (e.g.
+    # `hash(cfg.model)`) would hide nested-field drops.
     for path in sorted(leaves):
         relpath, line = leaves[path]
+        done = calls if path in delegated else serialized
         if path in allowed:
-            if path in serialized:
-                diags.append(Diagnostic(impl_rel, serialized[path], "cache-key",
+            if path in done:
+                diags.append(Diagnostic(impl_rel, done[path], "cache-key",
                     f"field '{path}' is serialized AND allowlisted in "
                     f"{cfg_rel} — remove the stale allowlist entry"))
             continue
-        if path not in serialized:
+        if path not in done:
+            how = (f" (pass it whole to {writers[delegated[path]]}, the one "
+                   f"writer of {delegated[path]})" if path in delegated else "")
             diags.append(Diagnostic(relpath, line, "cache-key",
                 f"{struct_name} field '{path}' is not serialized in "
-                f"{impl_rel} and not allowlisted in {cfg_rel} — the result "
-                f"cache cannot see it (DESIGN.md §9: stale results)"))
+                f"{impl_rel}{how} and not allowlisted in {cfg_rel} — the "
+                f"result cache cannot see it (DESIGN.md §9: stale results)"))
 
     for path in sorted(serialized):
-        if path not in leaves:
+        owner = next((d for d in delegated
+                      if path == d or path.startswith(d + ".")), None)
+        if owner is not None:
+            diags.append(Diagnostic(impl_rel, serialized[path], "cache-key",
+                f"'{var}.{path}' is written outside "
+                f"{writers[delegated[owner]]}, the one writer of "
+                f"{delegated[owner]}"))
+        elif path not in leaves:
             diags.append(Diagnostic(impl_rel, serialized[path], "cache-key",
                 f"serialized field '{var}.{path}' does not exist on "
                 f"{struct_name} — stale serializer line"))
@@ -536,8 +568,6 @@ def main(argv=None):
                     help=f"subset of {{{', '.join(ANALYZERS)}}} (default all)")
     ap.add_argument("--root", default=None,
                     help="repo root (default: parent of this script's dir)")
-    ap.add_argument("--layers", default=None,
-                    help="layer graph JSON (default tools/lint/layers.json)")
     ap.add_argument("--cache-key-config", default=None,
                     help="cache-key checker config "
                          "(default tools/lint/cache_key.json)")
@@ -553,9 +583,7 @@ def main(argv=None):
     selected = args.analyzers or list(ANALYZERS)
 
     runners = {
-        "dag": lambda: check_dag(
-            root, Path(args.layers) if args.layers
-            else root / "tools/lint/layers.json"),
+        "dag": lambda: check_dag(root),
         "cache-key": lambda: check_cache_key(
             root, Path(args.cache_key_config) if args.cache_key_config
             else root / "tools/lint/cache_key.json"),
