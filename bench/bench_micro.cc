@@ -163,8 +163,11 @@ void BM_PacketEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketEngine);
 
+// BFS routing on a rail-optimized fabric, a kind whose paths still come
+// from net::EcmpRouter (the destination's tree is cached after the first
+// call, so this is the per-route walk).
 void BM_EcmpRouting(benchmark::State& state) {
-  auto fabric = topo::Fabric::build(topo::FabricConfig::fat_tree(128));
+  auto fabric = topo::Fabric::build(topo::FabricConfig::rail_optimized(128));
   net::EcmpRouter router(fabric.network());
   std::uint64_t h = 0;
   for (auto _ : state) {
@@ -174,6 +177,18 @@ void BM_EcmpRouting(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EcmpRouting);
+
+// The computed leaf-spine route (topo::Fabric::route), cross-rack on a
+// 128-server fat-tree: the path every leaf-spine flow takes.
+void BM_FabricRoute(benchmark::State& state) {
+  const auto fabric = topo::Fabric::build(topo::FabricConfig::fat_tree(128));
+  std::uint64_t h = 0;
+  for (auto _ : state) {
+    auto route = fabric.route(0, 127, net::mix_hash(++h));
+    benchmark::DoNotOptimize(route.path.size());
+  }
+}
+BENCHMARK(BM_FabricRoute);
 
 // Fabric construction at the fig26-xl scale point: 131072 GPUs = 16384
 // servers. Guards the O(n) leaf-spine build (reserve + single pass); Arg(0)

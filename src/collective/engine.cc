@@ -106,63 +106,31 @@ void Engine::start_pair_flows(int src_server, int dst_server, Bytes bytes,
     // Channel pinning: stripes of a pair land on distinct NICs, and distinct
     // destinations rotate the starting NIC, like NCCL's channel assignment.
     const int pin = s + dst_server + src_server;
-    std::vector<net::LinkId> path;
-    TimeNs core_delay = 0;  // collapsed-core hops, charged as fixed latency
-    if (fabric_.analytic_core()) {
-      auto ar = fabric_.route_analytic(src_server, dst_server, hash, pin);
-      path = std::move(ar.path);
-      core_delay = ar.extra_delay;
-    } else {
-      path = router_.route(a, b, hash, pin);
-    }
-    if (path.empty()) break;  // unreachable via packet fabric
+    // Leaf-spine paths are computed; rail and TopoOpt paths come from BFS.
+    topo::Route route = fabric_.leaf_spine()
+                            ? fabric_.route(src_server, dst_server, hash, pin)
+                            : topo::Route{router_.route(a, b, hash, pin), 0};
+    if (route.path.empty()) break;  // unreachable via packet fabric
     barrier->arm();
     // Switched paths pay the packet-fabric goodput tax; a single-hop
     // dedicated circuit does not (see EngineConfig).
     const double eff =
-        path.size() > 1 ? cfg_.switched_path_efficiency : 1.0;
+        route.path.size() > 1 ? cfg_.switched_path_efficiency : 1.0;
     FlowSpec fs;
     fs.src = a;
     fs.dst = b;
     fs.size = bytes / n_stripes / eff;
-    fs.path = std::move(path);
-    fs.extra_delay = core_delay;
+    fs.path = std::move(route.path);
+    fs.extra_delay = route.extra_delay;  // collapsed-core hops
     fs.on_complete = [barrier](net::FlowId, TimeNs t) { barrier->arrive(t); };
     flows_.start_flow(std::move(fs));
     ++launched;
   }
   if (launched > 0) return;
 
-  // Packet fabric severed (failure scenarios): fall back to a direct optical
-  // circuit between the pair if one is installed.
-  if (fabric_.has_circuits() &&
-      fabric_.region_of(src_server) == fabric_.region_of(dst_server)) {
-    const int region = fabric_.region_of(src_server);
-    const auto& members = fabric_.region_servers(region);
-    int li = -1, lj = -1;
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      if (members[k] == src_server) li = static_cast<int>(k);
-      if (members[k] == dst_server) lj = static_cast<int>(k);
-    }
-    const net::LinkId circuit =
-        (li >= 0 && lj >= 0) ? fabric_.circuit_link(region, li, lj) : net::kInvalidLink;
-    if (circuit != net::kInvalidLink) {
-      barrier->arm();
-      FlowSpec fs;
-      fs.src = a;
-      fs.dst = b;
-      fs.size = bytes;
-      // assign(1, ...) rather than = {...}: the initializer-list overload
-      // trips GCC 12's -Wnonnull false positive at -O3 (memmove from the
-      // list's backing array).
-      fs.path.assign(1, circuit);
-      fs.on_complete = [barrier](net::FlowId, TimeNs t) { barrier->arrive(t); };
-      flows_.start_flow(std::move(fs));
-      return;
-    }
-  }
-  // Last resort: charge a single-NIC serialized transfer so the simulation
-  // makes progress and the time is accounted for.
+  // No route joins the pair (both routers take a direct up circuit first, so
+  // none is up either): charge a single-NIC serialized transfer so the
+  // simulation makes progress and the time is accounted for.
   barrier->arm();
   const TimeNs d = transmission_time(bytes, fabric_.config().nic_bw());
   sim_.schedule_after(d, [barrier] { barrier->arrive(barrier->sim->now()); });
@@ -320,7 +288,10 @@ void Engine::all_to_all_mixnet(int region, const Matrix& raw, Callback done) {
               fs.src = fabric_.server_node(members[i]);
               fs.dst = fabric_.server_node(members[j]);
               fs.size = bytes(i, j);
-              fs.path.assign(1, circuit);  // see note in start_pair_flows
+              // assign(1, ...) rather than = {...}: the initializer-list
+              // overload trips GCC 12's -Wnonnull false positive at -O3
+              // (memmove from the list's backing array).
+              fs.path.assign(1, circuit);
               auto b = barrier;
               fs.on_complete = [b](net::FlowId, TimeNs t) { b->arrive(t); };
               flows_.start_flow(std::move(fs));

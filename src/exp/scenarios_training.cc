@@ -4,6 +4,7 @@
 // rows index the grid exactly (Sweep::flat), never by re-matching axis
 // values. Per-figure paper-shape comparisons live in EXPERIMENTS.md.
 #include <cmath>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -451,6 +452,62 @@ ScenarioResult run_fig26(const RunContext& ctx) {
   return out;
 }
 
+// fig26 tables: rows = cluster sizes, columns # GPUs | MixNet | Fat-tree |
+// Rail-optimized. 26a is tokens/s normalized to 1024-GPU MixNet; 26b is
+// perf/$ relative to fat-tree at the same size (EXPERIMENTS.md: linear
+// scaling, MixNet within 6% of fat-tree tokens/s, perf/$ lead everywhere).
+std::vector<std::string> check_fig26(const ScenarioResult& res) {
+  std::vector<std::string> bad;
+  if (res.tables.size() != 2) {
+    bad.emplace_back("fig26: expected tokens/s + perf/$ tables");
+    return bad;
+  }
+  const auto& ta = res.tables[0];
+  const auto& tb = res.tables[1];
+  for (const auto* t : {&ta, &tb}) {
+    bool short_row = t->rows().empty() || t->columns().size() < 4;
+    for (const auto& row : t->rows())
+      if (row.size() < 4) short_row = true;
+    if (short_row) {
+      bad.push_back(printf_str("%s: no rows, or a row with fewer than 4 columns",
+                               t->title().c_str()));
+      return bad;
+    }
+  }
+  const auto gpus = [](const std::vector<Cell>& row) {
+    return std::strtod(row[0].text().c_str(), nullptr);
+  };
+  const auto& first = ta.rows().front();
+  for (std::size_t c = 1; c < 4; ++c) {
+    double prev = 0.0;
+    for (const auto& row : ta.rows()) {
+      const double v = row[c].value();
+      const double linear = gpus(row) / gpus(first) * first[c].value();
+      if (!(std::abs(v / linear - 1.0) <= 0.02))
+        bad.push_back(printf_str(
+            "fig26 @%s GPUs: %s tokens/s %.3f not within 2%% of linear %.3f",
+            row[0].text().c_str(), ta.columns()[c].c_str(), v, linear));
+      if (!(v > prev))
+        bad.push_back(printf_str(
+            "fig26 @%s GPUs: %s tokens/s %.3f not above previous %.3f",
+            row[0].text().c_str(), ta.columns()[c].c_str(), v, prev));
+      prev = v;
+    }
+  }
+  for (const auto& row : ta.rows())
+    if (!(std::abs(row[1].value() / row[2].value() - 1.0) <= 0.06))
+      bad.push_back(printf_str(
+          "fig26 @%s GPUs: MixNet tokens/s %.3f not within 6%% of fat-tree %.3f",
+          row[0].text().c_str(), row[1].value(), row[2].value()));
+  for (const auto& row : tb.rows())
+    if (!(row[1].value() > row[2].value() && row[1].value() > row[3].value()))
+      bad.push_back(printf_str(
+          "fig26 @%s GPUs: MixNet perf/$ %.2f not above fat-tree %.2f and "
+          "rail-optimized %.2f",
+          row[0].text().c_str(), row[1].value(), row[2].value(), row[3].value()));
+  return bad;
+}
+
 // ---------------------------------------------------------------------------
 // fig26-xl: Figure 26's scalability story pushed to 100k+ GPUs on the
 // analytic electrical core (CoreModel::kAnalytic, DESIGN.md §13). The
@@ -816,7 +873,8 @@ void register_training_scenarios(ScenarioRegistry& r) {
   r.add({"fig25", "Figure 25", "Speedups at larger batch sizes (32/64)",
          run_fig25, {}, "training"});
   r.add({"fig26", "Figure 26",
-         "Scalability: tokens/s and perf-per-dollar vs cluster size", run_fig26, {}, "training"});
+         "Scalability: tokens/s and perf-per-dollar vs cluster size", run_fig26,
+         check_fig26, "training"});
   r.add({"fig26-xl", "Figure 26 (XL)",
          "100k-GPU scalability on the analytic electrical core",
          run_fig26_xl, check_fig26_xl, "training"});

@@ -14,16 +14,19 @@ std::uint64_t mix_hash(std::uint64_t x) {
   return x;
 }
 
-void EcmpRouter::check_version() {
-  if (seen_version_ != net_.version()) {
-    invalidate();
-    seen_version_ = net_.version();
-  }
+std::uint64_t ecmp_pick(std::uint64_t flow_hash, int hop, int pin_index,
+                        std::uint64_t n) {
+  return pin_index >= 0
+             ? static_cast<std::uint64_t>(pin_index) % n
+             : mix_hash(flow_hash ^ (0x9E37ULL * static_cast<std::uint64_t>(hop + 1))) % n;
 }
 
-void EcmpRouter::invalidate() {
-  cache_.clear();
-  lru_.clear();
+void EcmpRouter::check_version() {
+  if (seen_version_ != net_.version()) {
+    cache_.clear();
+    lru_.clear();
+    seen_version_ = net_.version();
+  }
 }
 
 EcmpRouter::DestTree EcmpRouter::build_tree(NodeId dst) const {
@@ -45,7 +48,7 @@ EcmpRouter::DestTree EcmpRouter::build_tree(NodeId dst) const {
     const auto dv = t.dist[static_cast<std::size_t>(v)];
     for (LinkId lid : net_.node(v).in_links) {
       const Link& l = net_.link(lid);
-      if (!l.up || l.capacity <= 0.0) continue;
+      if (!routable(l)) continue;
       auto& du = t.dist[static_cast<std::size_t>(l.src)];
       if (du == -1) {
         du = dv + 1;
@@ -54,22 +57,19 @@ EcmpRouter::DestTree EcmpRouter::build_tree(NodeId dst) const {
     }
   }
   // Candidate links: out-links whose head is one hop closer to dst.
+  const auto is_candidate = [&](LinkId lid, std::int32_t dv) {
+    const Link& l = net_.link(lid);
+    return routable(l) && t.dist[static_cast<std::size_t>(l.dst)] == dv - 1 &&
+           (allow_server_transit_ || l.dst == dst ||
+            net_.node(l.dst).kind != NodeKind::kServer);
+  };
   t.offsets.assign(n + 1, 0);
   for (std::size_t v = 0; v < n; ++v) {
     const auto dv = t.dist[v];
-    if (dv <= 0) {
-      t.offsets[v + 1] = t.offsets[v];
-      continue;
-    }
     std::uint32_t count = 0;
-    for (LinkId lid : net_.node(static_cast<NodeId>(v)).out_links) {
-      const Link& l = net_.link(lid);
-      if (l.up && l.capacity > 0.0 &&
-          t.dist[static_cast<std::size_t>(l.dst)] == dv - 1 &&
-          (allow_server_transit_ || l.dst == dst ||
-           net_.node(l.dst).kind != NodeKind::kServer))
-        ++count;
-    }
+    if (dv > 0)
+      for (LinkId lid : net_.node(static_cast<NodeId>(v)).out_links)
+        count += is_candidate(lid, dv) ? 1 : 0;
     t.offsets[v + 1] = t.offsets[v] + count;
   }
   t.candidates.resize(t.offsets[n]);
@@ -77,14 +77,8 @@ EcmpRouter::DestTree EcmpRouter::build_tree(NodeId dst) const {
   for (std::size_t v = 0; v < n; ++v) {
     const auto dv = t.dist[v];
     if (dv <= 0) continue;
-    for (LinkId lid : net_.node(static_cast<NodeId>(v)).out_links) {
-      const Link& l = net_.link(lid);
-      if (l.up && l.capacity > 0.0 &&
-          t.dist[static_cast<std::size_t>(l.dst)] == dv - 1 &&
-          (allow_server_transit_ || l.dst == dst ||
-           net_.node(l.dst).kind != NodeKind::kServer))
-        t.candidates[cursor[v]++] = lid;
-    }
+    for (LinkId lid : net_.node(static_cast<NodeId>(v)).out_links)
+      if (is_candidate(lid, dv)) t.candidates[cursor[v]++] = lid;
   }
   return t;
 }
@@ -96,7 +90,7 @@ const EcmpRouter::DestTree& EcmpRouter::tree_for(NodeId dst) {
     lru_.splice(lru_.begin(), lru_, it->second.second);
     return it->second.first;
   }
-  if (cache_.size() >= cache_capacity_ && !lru_.empty()) {
+  if (cache_.size() >= kCacheCapacity && !lru_.empty()) {
     cache_.erase(lru_.back());
     lru_.pop_back();
   }
@@ -118,25 +112,12 @@ std::vector<LinkId> EcmpRouter::route(NodeId src, NodeId dst, std::uint64_t flow
     const auto lo = t.offsets[static_cast<std::size_t>(v)];
     const auto hi = t.offsets[static_cast<std::size_t>(v) + 1];
     assert(hi > lo && "shortest-path tree must have a candidate");
-    const auto n_cand = hi - lo;
-    // Pinned flows pick deterministically; hashed flows spread per hop.
-    const auto pick =
-        pin_index >= 0
-            ? static_cast<std::uint64_t>(pin_index) % n_cand
-            : mix_hash(flow_hash ^ (0x9E37ULL * static_cast<std::uint64_t>(hop + 1))) %
-                  n_cand;
-    const LinkId lid = t.candidates[lo + pick];
+    const LinkId lid = t.candidates[lo + ecmp_pick(flow_hash, hop, pin_index, hi - lo)];
     path.push_back(lid);
     v = net_.link(lid).dst;
     ++hop;
   }
   return path;
-}
-
-int EcmpRouter::distance(NodeId src, NodeId dst) {
-  if (src == dst) return 0;
-  const DestTree& t = tree_for(dst);
-  return t.dist[static_cast<std::size_t>(src)];
 }
 
 }  // namespace mixnet::net

@@ -26,13 +26,13 @@ PhaseRunner::PhaseRunner(const topo::Fabric& fabric,
       ecfg_(ecfg),
       backend_(backend),
       pkt_(pkt),
-      router_(fabric.network(), /*cache_capacity=*/512,
-              /*allow_server_transit=*/fabric.config().kind ==
-                  topo::FabricKind::kTopoOpt),
+      router_(fabric.network(), /*allow_server_transit=*/fabric.config().kind ==
+                                    topo::FabricKind::kTopoOpt),
       cache_capacity_(cache_capacity) {
   // The packet engine walks node-contiguous hops; analytic-core paths skip
   // the collapsed core entirely, so the combination cannot be simulated.
-  if (fabric.analytic_core() && backend == net::NetBackend::kPacket)
+  if (fabric.config().core_model == topo::CoreModel::kAnalytic &&
+      backend == net::NetBackend::kPacket)
     throw std::invalid_argument(
         "PhaseRunner: CoreModel::kAnalytic requires the analytic or flow "
         "backend; rebuild the fabric with CoreModel::kExplicit for --backend "

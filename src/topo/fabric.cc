@@ -28,6 +28,16 @@ const char* to_string(FabricKind k) {
   return "?";
 }
 
+namespace {
+
+// Every kind but rail-optimized and TopoOpt has one leaf-spine packet core,
+// whose paths Fabric::route computes.
+bool is_leaf_spine(FabricKind k) {
+  return k != FabricKind::kRailOptimized && k != FabricKind::kTopoOpt;
+}
+
+}  // namespace
+
 const char* to_string(CoreModel m) {
   switch (m) {
     case CoreModel::kExplicit: return "explicit";
@@ -125,21 +135,15 @@ std::vector<std::string> FabricConfig::validate() const {
           "eps_nics/optical_degree: MixNet NIC split must sum to "
           "nics_per_server");
   }
-  if (core_model == CoreModel::kAnalytic) {
-    switch (kind) {
-      case FabricKind::kFatTree:
-      case FabricKind::kOverSubFatTree:
-      case FabricKind::kMixNet:
-      case FabricKind::kNvl72:
-      case FabricKind::kMixNetOpticalIO:
-        break;
-      default:
-        errors.emplace_back(
-            "core_model: kAnalytic requires a leaf-spine electrical core "
-            "(fat-tree/MixNet/NVL72); rail-optimized and TopoOpt are "
-            "explicit-only");
-    }
-  }
+  if (kind == FabricKind::kOverSubFatTree)
+    require(oversub > 1.0,
+            "oversub: an over-subscribed fat-tree needs a ratio > 1 (use "
+            "kFatTree for 1:1)");
+  if (core_model == CoreModel::kAnalytic && !is_leaf_spine(kind))
+    errors.emplace_back(
+        "core_model: kAnalytic requires a leaf-spine electrical core "
+        "(fat-tree/MixNet/NVL72); rail-optimized and TopoOpt are "
+        "explicit-only");
   return errors;
 }
 
@@ -155,6 +159,8 @@ bool Fabric::has_circuits() const {
 }
 
 bool Fabric::has_eps() const { return cfg_.kind != FabricKind::kTopoOpt; }
+
+bool Fabric::leaf_spine() const { return is_leaf_spine(cfg_.kind); }
 
 int Fabric::optical_degree() const {
   switch (cfg_.kind) {
@@ -193,22 +199,19 @@ void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
   const int n = n_servers();
   const int spr = cfg_.servers_per_rack;
   const int n_racks = (n + spr - 1) / spr;
-  analytic_ = cfg_.core_model == CoreModel::kAnalytic;
-  core_collapsed_ = analytic_ && oversub <= 1.0;
+  core_collapsed_ = cfg_.core_model == CoreModel::kAnalytic && oversub <= 1.0;
   eps_nics_used_ = nics_toward_eps;
 
   // One pass, exact reservation: servers are already in the node table.
+  const auto nic_links = static_cast<std::size_t>(n) * nics_toward_eps;
+  const auto uplinks = core_collapsed_ ? 0 : static_cast<std::size_t>(n_racks);
   net_.reserve(net_.node_count() + static_cast<std::size_t>(n_racks) +
                    (core_collapsed_ ? 0 : 1),
-               net_.link_count() +
-                   static_cast<std::size_t>(n) * nics_toward_eps * 2 +
-                   (core_collapsed_ ? 0 : static_cast<std::size_t>(n_racks) * 2));
-  if (analytic_) {
-    nic_up_.reserve(static_cast<std::size_t>(n) * nics_toward_eps);
-    nic_down_.reserve(static_cast<std::size_t>(n) * nics_toward_eps);
-    rack_up_.assign(static_cast<std::size_t>(n_racks), net::kInvalidLink);
-    rack_down_.assign(static_cast<std::size_t>(n_racks), net::kInvalidLink);
-  }
+               net_.link_count() + nic_links * 2 + uplinks * 2);
+  nic_up_.reserve(nic_links);
+  nic_down_.reserve(nic_links);
+  rack_up_.reserve(uplinks);
+  rack_down_.reserve(uplinks);
 
   const NodeId core =
       core_collapsed_ ? net::kInvalidNode : net_.add_node(NodeKind::kSwitch);
@@ -222,21 +225,16 @@ void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
         const auto [up, down] =
             net_.add_duplex(servers_[static_cast<std::size_t>(s)], tor,
                             cfg_.nic_bw(), cfg_.link_delay);
-        if (analytic_) {
-          nic_up_.push_back(up);
-          nic_down_.push_back(down);
-        }
+        nic_up_.push_back(up);
+        nic_down_.push_back(down);
       }
       ++servers_in_rack;
     }
     if (core_collapsed_) continue;
     const Bps up_cap = cfg_.nic_bw() * nics_toward_eps * servers_in_rack / oversub;
-    const auto [up, down] =
-        net_.add_duplex(tor, core, up_cap, cfg_.link_delay);
-    if (analytic_) {
-      rack_up_[static_cast<std::size_t>(r)] = up;
-      rack_down_[static_cast<std::size_t>(r)] = down;
-    }
+    const auto [up, down] = net_.add_duplex(tor, core, up_cap, cfg_.link_delay);
+    rack_up_.push_back(up);
+    rack_down_.push_back(down);
   }
 }
 
@@ -293,7 +291,7 @@ Fabric Fabric::build(const FabricConfig& cfg) {
       f.init_regions(cfg.n_servers);  // one logical region (unused)
       break;
     case FabricKind::kOverSubFatTree:
-      f.build_eps_leaf_spine(cfg.nics_per_server, cfg.oversub > 1.0 ? cfg.oversub : 3.0);
+      f.build_eps_leaf_spine(cfg.nics_per_server, cfg.oversub);
       f.init_regions(cfg.n_servers);
       break;
     case FabricKind::kRailOptimized:
@@ -322,52 +320,33 @@ Fabric Fabric::build(const FabricConfig& cfg) {
   return f;
 }
 
-AnalyticRoute Fabric::route_analytic(int src_server, int dst_server,
-                                     std::uint64_t flow_hash,
-                                     int pin_index) const {
-  assert(analytic_ && "route_analytic requires CoreModel::kAnalytic");
-  AnalyticRoute r;
-  if (src_server == dst_server) return r;
+Route Fabric::route(int src_server, int dst_server, std::uint64_t flow_hash,
+                    int pin_index) const {
+  assert(leaf_spine() && "Fabric::route computes leaf-spine paths only");
+  if (src_server == dst_server) return {};
   const NodeId a = servers_[static_cast<std::size_t>(src_server)];
   const NodeId b = servers_[static_cast<std::size_t>(dst_server)];
 
-  // A direct up circuit is a 1-hop shortest path: on the explicit graph the
-  // BFS router always prefers it over the 2/4-hop EPS detour (and servers
-  // never forward, so it is the only 1-hop candidate). Only circuit fabrics
-  // can have server->server links, so the scan is skipped elsewhere.
+  // A direct routable circuit is a 1-hop shortest path: the BFS router
+  // always prefers it over the 2/4-hop EPS detour (and servers never
+  // forward, so it is the only 1-hop candidate). Only circuit fabrics can
+  // have server->server links, so the scan is skipped elsewhere.
   if (const LinkId direct = has_circuits() ? net_.find_link(a, b) : net::kInvalidLink;
-      direct != net::kInvalidLink) {
-    if (net_.link(direct).capacity > 0.0) {
-      r.path.push_back(direct);
-      return r;
-    }
-  }
-  if (eps_nics_used_ <= 0) return r;  // no packet fabric
+      direct != net::kInvalidLink && net::routable(net_.link(direct)))
+    return {{direct}, 0};
 
-  // Candidate NIC pick at one hop, reproducing EcmpRouter: candidates are
-  // the up, non-zero-capacity links in insertion (NIC) order; pinned flows
-  // take pin % n, unpinned flows the per-hop mixed hash.
+  // Candidate NIC pick at one hop, as in EcmpRouter: candidates are the
+  // routable links in insertion (NIC) order.
   const auto pick_nic = [this, flow_hash, pin_index](const LinkId* base,
                                                      int hop) -> LinkId {
     int n_up = 0;
-    for (int k = 0; k < eps_nics_used_; ++k) {
-      const net::Link& l = net_.link(base[k]);
-      if (l.up && l.capacity > 0.0) ++n_up;
-    }
+    for (int k = 0; k < eps_nics_used_; ++k)
+      if (net::routable(net_.link(base[k]))) ++n_up;
     if (n_up == 0) return net::kInvalidLink;
-    const auto pick =
-        pin_index >= 0
-            ? static_cast<std::uint64_t>(pin_index) % static_cast<std::uint64_t>(n_up)
-            : net::mix_hash(flow_hash ^
-                            (0x9E37ULL * static_cast<std::uint64_t>(hop + 1))) %
-                  static_cast<std::uint64_t>(n_up);
-    std::uint64_t seen = 0;
-    for (int k = 0; k < eps_nics_used_; ++k) {
-      const net::Link& l = net_.link(base[k]);
-      if (!l.up || l.capacity <= 0.0) continue;
-      if (seen++ == pick) return base[k];
-    }
-    return net::kInvalidLink;  // unreachable
+    auto pick = net::ecmp_pick(flow_hash, hop, pin_index,
+                               static_cast<std::uint64_t>(n_up));
+    for (int k = 0;; ++k)  // pick < n_up: the scan stops on a candidate
+      if (net::routable(net_.link(base[k])) && pick-- == 0) return base[k];
   };
 
   const int rack_src = src_server / cfg_.servers_per_rack;
@@ -378,39 +357,26 @@ AnalyticRoute Fabric::route_analytic(int src_server, int dst_server,
       nic_down_.data() + static_cast<std::size_t>(dst_server) * eps_nics_used_;
 
   if (rack_src == rack_dst) {
-    // Explicit path: server -> ToR -> server (hops 0 and 1).
+    // server -> ToR -> server (hops 0 and 1).
     const LinkId up = pick_nic(src_nics, 0);
     const LinkId down = pick_nic(dst_nics, 1);
-    if (up == net::kInvalidLink || down == net::kInvalidLink) return r;
-    r.path.push_back(up);
-    r.path.push_back(down);
-    return r;
+    if (up == net::kInvalidLink || down == net::kInvalidLink) return {};
+    return {{up, down}, 0};
   }
 
-  // Explicit path: server -> ToR -> core -> ToR -> server. The ToR uplink
-  // hops (1 and 2) have exactly one candidate each, so only the NIC picks
-  // at hops 0 and 3 consume the pin/hash.
+  // server -> ToR -> core -> ToR -> server. The ToR uplink hops (1 and 2)
+  // have exactly one candidate each, so only the NIC picks at hops 0 and 3
+  // consume the pin/hash.
   const LinkId up = pick_nic(src_nics, 0);
   const LinkId down = pick_nic(dst_nics, 3);
-  if (up == net::kInvalidLink || down == net::kInvalidLink) return r;
-  r.path.push_back(up);
-  if (core_collapsed_) {
-    // The ideal core's links carry no state; only their propagation remains.
-    r.extra_delay = 2 * cfg_.link_delay;
-  } else {
-    const LinkId ru = rack_up_[static_cast<std::size_t>(rack_src)];
-    const LinkId rd = rack_down_[static_cast<std::size_t>(rack_dst)];
-    const net::Link& lu = net_.link(ru);
-    const net::Link& ld = net_.link(rd);
-    if (!lu.up || lu.capacity <= 0.0 || !ld.up || ld.capacity <= 0.0) {
-      r.path.clear();
-      return r;  // core path severed; matches the router's unreachable case
-    }
-    r.path.push_back(ru);
-    r.path.push_back(rd);
-  }
-  r.path.push_back(down);
-  return r;
+  if (up == net::kInvalidLink || down == net::kInvalidLink) return {};
+  // A collapsed core's links carry no state; only their propagation remains.
+  if (core_collapsed_) return {{up, down}, 2 * cfg_.link_delay};
+  const LinkId ru = rack_up_[static_cast<std::size_t>(rack_src)];
+  const LinkId rd = rack_down_[static_cast<std::size_t>(rack_dst)];
+  if (!net::routable(net_.link(ru)) || !net::routable(net_.link(rd)))
+    return {};  // core path severed; matches the router's unreachable case
+  return {{up, ru, rd, down}, 0};
 }
 
 std::string Fabric::describe() const {

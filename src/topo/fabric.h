@@ -14,24 +14,25 @@
 // (NVSwitch) transfers are handled analytically by the collective runtime
 // using `nvlink_gbps_per_gpu` (they never contend with scale-out links).
 //
-// Electrical cores are modeled as ideal non-blocking crossbars. Two core
-// models exist (DESIGN.md §13):
+// Electrical cores are modeled as ideal non-blocking crossbars. Routing
+// follows the topology: on the leaf-spine kinds (fat-tree, over-subscribed
+// fat-tree, the EPS half of MixNet / optical I/O, NVL72) a path is fixed
+// arithmetic -- NIC up-link, ToR uplink, core, ToR downlink, NIC down-link,
+// or a direct circuit -- and Fabric::route() computes it in O(1). Rail-
+// optimized and TopoOpt route by per-destination BFS (net::EcmpRouter),
+// which is also the oracle route() is tested against link for link.
 //
-//   CoreModel::kExplicit  a single core node with per-rack uplinks in the
-//                         graph; routes come from per-destination BFS
-//                         (net::EcmpRouter). The historical default.
-//   CoreModel::kAnalytic  the ideal core is a *computed* capacity
-//                         constraint: per-NIC server<->ToR links keep
-//                         per-flow state, but at 1:1 over-subscription the
-//                         ToR uplinks and the core crossbar disappear from
-//                         the net::Network graph entirely (they can never be
-//                         the unique max-min bottleneck -- the uplink's fair
+// The core model only decides what the graph holds (DESIGN.md §13):
+//
+//   CoreModel::kExplicit  a single core node with per-rack uplinks.
+//   CoreModel::kAnalytic  at 1:1 over-subscription the ToR uplinks and the
+//                         core crossbar are not built (they can never be the
+//                         unique max-min bottleneck -- the uplink's fair
 //                         share is a mediant of its NIC links' shares), and
-//                         routes are computed O(1) by route_analytic()
-//                         instead of BFS. This is the trick that makes
-//                         100k-GPU sweeps take seconds (ROADMAP: fig26-xl);
-//                         it reproduces the explicit model's ECMP choices
-//                         bit-for-bit, so phase durations match exactly.
+//                         route() charges the dropped hops as extra_delay.
+//                         This is what makes 100k-GPU sweeps take seconds
+//                         (fig26-xl); phase durations match the explicit
+//                         core. Above 1:1 the graph is the explicit one.
 #pragma once
 
 #include <cstdint>
@@ -154,10 +155,10 @@ struct FabricConfig {
   }
 };
 
-/// A computed route from the analytic core model: the links that carry
-/// per-flow state, plus the propagation delay of the collapsed hops so
-/// completion times match the explicit graph exactly.
-struct AnalyticRoute {
+/// A computed leaf-spine route: the links that carry per-flow state, plus
+/// the propagation delay of a collapsed core's hops so completion times
+/// match the explicit graph exactly.
+struct Route {
   std::vector<net::LinkId> path;
   mixnet::TimeNs extra_delay = 0;
 };
@@ -192,20 +193,20 @@ class Fabric {
   /// True if servers also connect to a packet-switched fabric.
   bool has_eps() const;
 
-  /// True when the electrical core is the computed-constraint analytic model
-  /// and routes must come from route_analytic() instead of a BFS router.
-  bool analytic_core() const { return analytic_; }
+  /// True for the leaf-spine kinds, whose paths route() computes;
+  /// rail-optimized and TopoOpt route through net::EcmpRouter instead.
+  bool leaf_spine() const;
 
-  /// O(1) computed route between two servers under the analytic core model.
-  /// Reproduces net::EcmpRouter's choices on the equivalent explicit graph
-  /// bit-for-bit: a direct up circuit wins (1-hop shortest path), otherwise
-  /// per-NIC candidates are filtered by up/capacity in insertion order and
-  /// picked by `pin_index % n` (or the per-hop mix_hash when unpinned) at
-  /// the hop indices the explicit 2- or 4-hop path would use. Returns an
-  /// empty path when the pair is unreachable (all NICs down), matching the
-  /// router; extra_delay carries the propagation of the collapsed core hops.
-  AnalyticRoute route_analytic(int src_server, int dst_server,
-                               std::uint64_t flow_hash, int pin_index = -1) const;
+  /// O(1) computed route between two servers of a leaf-spine fabric.
+  /// Reproduces net::EcmpRouter's choices on the same graph link for link
+  /// (without server transit): a direct routable circuit wins (1-hop
+  /// shortest path), otherwise the routable NIC links are taken in insertion
+  /// order and picked by net::ecmp_pick at the hop indices of the 2- or
+  /// 4-hop path. Returns an empty path when the pair is unreachable (all
+  /// NICs or the core path down), matching the router; extra_delay carries
+  /// the propagation of a collapsed core's hops.
+  Route route(int src_server, int dst_server, std::uint64_t flow_hash,
+              int pin_index = -1) const;
 
   int n_regions() const { return static_cast<int>(regions_.size()); }
   const std::vector<int>& region_servers(int region) const {
@@ -254,10 +255,9 @@ class Fabric {
   std::vector<int> region_of_;             // server index -> region
   int n_switches_ = 0;
 
-  // Analytic-core bookkeeping (kAnalytic on leaf-spine kinds). NIC links are
-  // stored SoA so route_analytic touches two cache lines per route.
-  bool analytic_ = false;
-  bool core_collapsed_ = false;  // 1:1 core: uplinks absent from the graph
+  // Leaf-spine link tables for route(). NIC links are stored SoA so a route
+  // touches two cache lines.
+  bool core_collapsed_ = false;  // analytic 1:1 core: uplinks absent from the graph
   int eps_nics_used_ = 0;        // NIC links per server toward the EPS
   std::vector<net::LinkId> nic_up_;    // [server * eps_nics_used_ + k] srv->tor
   std::vector<net::LinkId> nic_down_;  // [server * eps_nics_used_ + k] tor->srv

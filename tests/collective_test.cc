@@ -24,7 +24,7 @@ struct Harness {
   explicit Harness(topo::Fabric built, EngineConfig ecfg = {})
       : fabric(std::move(built)),
         flows(sim, fabric.network()),
-        router(fabric.network(), 256,
+        router(fabric.network(),
                fabric.config().kind == topo::FabricKind::kTopoOpt),
         engine(sim, fabric, flows, router, ecfg) {}
   explicit Harness(const topo::FabricConfig& cfg, EngineConfig ecfg = {})

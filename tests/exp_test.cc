@@ -522,6 +522,38 @@ TEST(ScenarioRegistry, AnalyticScenarioRunsEndToEnd) {
   EXPECT_FALSE(r.tables[0].rows().empty());
 }
 
+// fig26's check gates EXPERIMENTS.md's row: linear tokens/s scaling per
+// fabric, MixNet within 6% of fat-tree, and MixNet's perf/$ lead.
+TEST(ScenarioRegistry, Fig26CheckGatesScalingAndPerfPerDollar) {
+  const ScenarioInfo* s = ScenarioRegistry::paper().find("fig26");
+  ASSERT_NE(s, nullptr);
+  ASSERT_TRUE(s->check);
+  const auto result = [](double mixnet_at_4096, double rail_ppd) {
+    const std::vector<std::string> cols = {"# GPUs", "MixNet", "Fat-tree",
+                                           "Rail-optimized"};
+    ResultTable ta("Figure 26a", "tokens/s", cols);
+    ResultTable tb("Figure 26b", "perf/$", cols);
+    for (int k = 0; k < 3; ++k) {
+      const double scale = static_cast<double>(1 << k);
+      const std::string gpus = std::to_string(1024 << k);
+      ta.add_row({gpus, Cell::num(k == 2 ? mixnet_at_4096 : scale, 2),
+                  Cell::num(1.04 * scale, 2), Cell::num(1.04 * scale, 2)});
+      tb.add_row({gpus, Cell::num(1.97, 2), Cell::num(1.0, 2),
+                  Cell::num(rail_ppd, 2)});
+    }
+    ScenarioResult r;
+    r.name = "fig26";
+    r.tables = {ta, tb};
+    return r;
+  };
+  EXPECT_TRUE(s->check(result(4.0, 1.09)).empty());
+  // 3.5 at 4096 GPUs: 12.5% below linear and 16% behind fat-tree.
+  EXPECT_EQ(s->check(result(3.5, 1.09)).size(), 2u);
+  // Rail-optimized ahead on perf/$ at every size.
+  EXPECT_EQ(s->check(result(4.0, 2.5)).size(), 3u);
+  EXPECT_FALSE(s->check(ScenarioResult{}).empty());
+}
+
 TEST(ScenarioRegistry, ListScenariosJsonIsWellFormedAndComplete) {
   const std::string json = list_scenarios_json(ScenarioRegistry::paper());
   EXPECT_EQ(json.rfind("{\"scenarios\":[", 0), 0u);

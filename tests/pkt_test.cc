@@ -20,6 +20,10 @@
 namespace mixnet::pkt {
 namespace {
 
+// Flow paths are copy-constructed (`path = std::vector<net::LinkId>(p)`),
+// never copy-assigned (`path = p`): the assign into an empty vector trips
+// GCC 12's -Wnonnull false positive at -O3 (memmove to a null begin()).
+
 // ------------------------------------------------------------------ slab ----
 
 TEST(Slab, ReusesReleasedSlotsWithoutGrowing) {
@@ -61,7 +65,7 @@ std::vector<TimeNs> oracle_times(const net::Network& net,
     s.src = net.link(flows[i].path.front()).src;
     s.dst = net.link(flows[i].path.back()).dst;
     s.size = flows[i].size;
-    s.path = flows[i].path;
+    s.path = std::vector<net::LinkId>(flows[i].path);
     s.on_complete = [&done, i](TimeNs t) { done[i] = t; };
     ps.start_flow(std::move(s));
   }
@@ -253,7 +257,7 @@ TEST(PacketTransport, MatchesStandaloneEngineExactly) {
     s.src = net.link(flows[i].path.front()).src;
     s.dst = net.link(flows[i].path.back()).dst;
     s.size = flows[i].size;
-    s.path = flows[i].path;
+    s.path = std::vector<net::LinkId>(flows[i].path);
     s.on_complete = [&done, i](net::FlowId, TimeNs t) { done[i] = t; };
     pt.start_flow(std::move(s));
   }
@@ -277,7 +281,7 @@ TEST(PacketTransport, StaggeredStartsMatchOracle) {
     s.src = net.link(path.front()).src;
     s.dst = net.link(path.back()).dst;
     s.size = mib(2);
-    s.path = path;
+    s.path = std::vector<net::LinkId>(path);
     s.on_complete = [&oracle](TimeNs t) { oracle[0] = t; };
     ps.start_flow(std::move(s));
     sim_o.schedule_at(kLateStart, [&] {
@@ -285,7 +289,7 @@ TEST(PacketTransport, StaggeredStartsMatchOracle) {
       late.src = net.link(path.front()).src;
       late.dst = net.link(path.back()).dst;
       late.size = mib(1);
-      late.path = path;
+      late.path = std::vector<net::LinkId>(path);
       late.on_complete = [&oracle](TimeNs t) { oracle[1] = t; };
       ps.start_flow(std::move(late));
     });
@@ -300,7 +304,7 @@ TEST(PacketTransport, StaggeredStartsMatchOracle) {
     s.src = net.link(path.front()).src;
     s.dst = net.link(path.back()).dst;
     s.size = mib(2);
-    s.path = path;
+    s.path = std::vector<net::LinkId>(path);
     s.on_complete = [&done](net::FlowId, TimeNs t) { done[0] = t; };
     pt.start_flow(std::move(s));
     sim.schedule_at(kLateStart, [&] {
@@ -308,7 +312,7 @@ TEST(PacketTransport, StaggeredStartsMatchOracle) {
       late.src = net.link(path.front()).src;
       late.dst = net.link(path.back()).dst;
       late.size = mib(1);
-      late.path = path;
+      late.path = std::vector<net::LinkId>(path);
       late.on_complete = [&done](net::FlowId, TimeNs t) { done[1] = t; };
       pt.start_flow(std::move(late));
     });
@@ -345,7 +349,7 @@ TEST(PacketTransport, ExtraDelayShiftsCompletion) {
     s.src = net.link(flows[i].path.front()).src;
     s.dst = net.link(flows[i].path.back()).dst;
     s.size = flows[i].size;
-    s.path = flows[i].path;
+    s.path = std::vector<net::LinkId>(flows[i].path);
     s.extra_delay = extra;
     s.on_complete = [&done, i](net::FlowId, TimeNs t) { done[i] = t; };
     pt.start_flow(std::move(s));
@@ -374,7 +378,7 @@ TEST(MakeTransport, LadderRungsAreOrdered) {
       s.src = net.link(f.path.front()).src;
       s.dst = net.link(f.path.back()).dst;
       s.size = f.size;
-      s.path = f.path;
+      s.path = std::vector<net::LinkId>(f.path);
       s.on_complete = [&last, b](net::FlowId, TimeNs at) {
         if (at > last[b]) last[b] = at;
       };

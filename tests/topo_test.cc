@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <set>
 #include <string>
 
@@ -15,6 +16,7 @@ FabricConfig base_config(FabricKind kind, int n_servers = 8) {
   c.kind = kind;
   c.n_servers = n_servers;
   c.nic_gbps = 100.0;
+  if (kind == FabricKind::kOverSubFatTree) c.oversub = 3.0;
   return c;
 }
 
@@ -41,14 +43,11 @@ TEST(Fabric, RailOptimizedSameRankOneSwitchApart) {
   Fabric f = Fabric::build(base_config(FabricKind::kRailOptimized, 16));
   net::EcmpRouter r(f.network());
   // Same pod: 2 hops through a rail switch.
-  EXPECT_EQ(r.distance(f.server_node(0), f.server_node(1)), 2);
+  EXPECT_EQ(r.route(f.server_node(0), f.server_node(1), 7).size(), 2u);
 }
 
 TEST(Fabric, OverSubUplinkIsSlimmer) {
   Fabric f1 = Fabric::build(base_config(FabricKind::kFatTree, 8));
-  FabricConfig oc = base_config(FabricKind::kOverSubFatTree, 8);
-  oc.oversub = 3.0;
-  Fabric f3 = Fabric::build(oc);
   // Sum the ToR<->core uplink capacities: the only switch-to-switch links
   // of a leaf-spine fabric.
   auto uplink_cap = [](const Fabric& f) {
@@ -61,7 +60,12 @@ TEST(Fabric, OverSubUplinkIsSlimmer) {
     }
     return total;
   };
-  EXPECT_NEAR(uplink_cap(f1) / uplink_cap(f3), 3.0, 1e-6);
+  // The configured ratio is the built ratio.
+  for (const double ratio : {1.5, 3.0}) {
+    const Fabric fo = Fabric::build(
+        base_config(FabricKind::kOverSubFatTree, 8).with_oversub(ratio));
+    EXPECT_NEAR(uplink_cap(f1) / uplink_cap(fo), ratio, 1e-6);
+  }
 }
 
 TEST(Fabric, MixNetSplitsNics) {
@@ -175,7 +179,7 @@ TEST_P(FabricConnectivity, AllPairsReachableOnEpsFabrics) {
   for (int i = 0; i < f.n_servers(); ++i) {
     for (int j = 0; j < f.n_servers(); ++j) {
       if (i == j) continue;
-      EXPECT_GT(r.distance(f.server_node(i), f.server_node(j)), 0);
+      EXPECT_FALSE(r.route(f.server_node(i), f.server_node(j), 7).empty());
     }
   }
 }
@@ -224,6 +228,19 @@ TEST(FabricConfig, ValidateReturnsStructuredErrors) {
   EXPECT_TRUE(saw_gbps);
 }
 
+TEST(FabricConfig, OverSubFatTreeRequiresRatioAboveOne) {
+  // A 1:1 "over-subscribed" fat-tree is a fat-tree: reject it rather than
+  // build a ratio other than the one describe() and the cache key report.
+  for (const double ratio : {1.0, 0.5}) {
+    const FabricConfig c = FabricConfig::oversub_fat_tree(8, ratio);
+    const auto errs = c.validate();
+    ASSERT_FALSE(errs.empty()) << ratio;
+    for (const auto& e : errs) EXPECT_EQ(e.rfind("oversub:", 0), 0u) << e;
+    EXPECT_THROW(Fabric::build(c), std::invalid_argument);
+  }
+  EXPECT_TRUE(FabricConfig::oversub_fat_tree(8, 1.5).validate().empty());
+}
+
 TEST(FabricConfig, AnalyticCoreRequiresLeafSpine) {
   EXPECT_FALSE(FabricConfig::topoopt(8)
                    .with_core_model(CoreModel::kAnalytic)
@@ -244,8 +261,6 @@ TEST(AnalyticCore, CollapsedFatTreeDropsCoreFromGraph) {
   const Fabric e = Fabric::build(base_config(FabricKind::kFatTree, 8));
   const Fabric a = Fabric::build(
       base_config(FabricKind::kFatTree, 8).with_core_model(CoreModel::kAnalytic));
-  EXPECT_FALSE(e.analytic_core());
-  EXPECT_TRUE(a.analytic_core());
   // 8 servers x 8 NICs x 2 directions; no uplinks, no core node.
   EXPECT_EQ(a.network().link_count(), 8u * 8u * 2u);
   EXPECT_GT(e.network().link_count(), a.network().link_count());
@@ -260,13 +275,11 @@ TEST(AnalyticCore, CollapsedFatTreeDropsCoreFromGraph) {
 
 TEST(AnalyticCore, OversubscribedCoreKeepsUplinksButRoutesO1) {
   // At oversub > 1 the uplink can be a real bottleneck, so it stays in the
-  // graph; route_analytic still produces the 4-link leaf-spine path without
-  // a BFS.
+  // graph and route() produces the 4-link leaf-spine path.
   const Fabric f = Fabric::build(base_config(FabricKind::kOverSubFatTree, 8)
                                      .with_oversub(3.0)
                                      .with_core_model(CoreModel::kAnalytic));
-  EXPECT_TRUE(f.analytic_core());
-  const auto r = f.route_analytic(0, 7, 12345u);
+  const auto r = f.route(0, 7, 12345u);
   ASSERT_EQ(r.path.size(), 4u);
   EXPECT_EQ(r.extra_delay, 0);
   for (net::LinkId l : r.path) EXPECT_TRUE(f.network().link(l).up);
@@ -277,11 +290,11 @@ TEST(AnalyticCore, RouteShapesAndDelayCompensation) {
       base_config(FabricKind::kFatTree, 8).with_core_model(CoreModel::kAnalytic);
   const Fabric f = Fabric::build(cfg);
   // Intra-rack (servers_per_rack = 2): two NIC links, no compensation.
-  const auto intra = f.route_analytic(0, 1, 99u);
+  const auto intra = f.route(0, 1, 99u);
   ASSERT_EQ(intra.path.size(), 2u);
   EXPECT_EQ(intra.extra_delay, 0);
   // Inter-rack: two NIC links plus the two collapsed core hops as delay.
-  const auto inter = f.route_analytic(0, 5, 99u);
+  const auto inter = f.route(0, 5, 99u);
   ASSERT_EQ(inter.path.size(), 2u);
   EXPECT_EQ(inter.extra_delay, 2 * cfg.link_delay);
   EXPECT_EQ(f.network().link(inter.path.front()).src, f.server_node(0));
@@ -293,12 +306,12 @@ TEST(AnalyticCore, EcmpSpreadsAndPinsAcrossNics) {
       base_config(FabricKind::kFatTree, 8).with_core_model(CoreModel::kAnalytic));
   std::set<net::LinkId> first_links;
   for (std::uint64_t h = 0; h < 64; ++h)
-    first_links.insert(f.route_analytic(0, 5, net::mix_hash(h + 1)).path.front());
+    first_links.insert(f.route(0, 5, net::mix_hash(h + 1)).path.front());
   EXPECT_EQ(first_links.size(), 8u);  // all 8 NICs see traffic
   // Pinning is deterministic and wraps modulo the NIC count.
   for (int pin = 0; pin < 16; ++pin) {
-    EXPECT_EQ(f.route_analytic(0, 5, 7u, pin).path.front(),
-              f.route_analytic(0, 5, 991u, pin % 8).path.front());
+    EXPECT_EQ(f.route(0, 5, 7u, pin).path.front(),
+              f.route(0, 5, 991u, pin % 8).path.front());
   }
 }
 
@@ -310,11 +323,11 @@ TEST(AnalyticCore, CircuitPreferredOverEpsLikeExplicitRouting) {
   Matrix counts(8, 8, 0.0);
   counts(0, 1) = counts(1, 0) = 1;
   f.apply_circuits(0, counts);
-  const auto direct = f.route_analytic(0, 1, 5u);
+  const auto direct = f.route(0, 1, 5u);
   ASSERT_EQ(direct.path.size(), 1u);  // single-hop circuit wins
   EXPECT_EQ(direct.path.front(), f.circuit_link(0, 0, 1));
   // No circuit for this pair: falls back to the 2-NIC-link EPS path.
-  EXPECT_EQ(f.route_analytic(0, 2, 5u).path.size(), 2u);
+  EXPECT_EQ(f.route(0, 2, 5u).path.size(), 2u);
 }
 
 TEST(AnalyticCore, DescribeEmitsCanonicalJson) {
@@ -331,6 +344,137 @@ TEST(AnalyticCore, DescribeEmitsCanonicalJson) {
   const Fabric e = Fabric::build(base_config(FabricKind::kFatTree, 8));
   EXPECT_NE(e.describe(), j);
   EXPECT_NE(e.describe().find("\"core_collapsed\":false"), std::string::npos);
+}
+
+// --- Fabric::route against the BFS oracle. ---------------------------------
+//
+// On every leaf-spine kind, route() must return exactly the links
+// net::EcmpRouter picks on the same graph (servers do not forward): same
+// links, same order, for hashed and pinned flows, before and after circuits
+// are installed and links fail.
+
+// Region 0's circuits: each server to its buddy (i ^ 1) twice and to i +/- 2
+// once, at most 4 per server (alpha is 6).
+Matrix region0_circuits(const Fabric& f) {
+  const std::size_t m = f.region_servers(0).size();
+  Matrix counts(m, m, 0.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    if ((i ^ 1) < m) counts(i, i ^ 1) = 2;
+    if (i + 2 < m) counts(i, i + 2) = counts(i + 2, i) = 1;
+  }
+  return counts;
+}
+
+// Downs one NIC up-link of server 1, one NIC down-link of server 2, every
+// EPS link of server 3, one ToR uplink when the core is in the graph, and
+// one direction of region 0's first circuit.
+void fail_some_links(Fabric& f) {
+  net::Network& n = f.network();
+  const auto switch_links = [&n](net::NodeId server, bool outgoing) {
+    std::vector<net::LinkId> out;
+    const auto& node = n.node(server);
+    for (net::LinkId l : outgoing ? node.out_links : node.in_links) {
+      const net::Link& link = n.link(l);
+      if (n.node(outgoing ? link.dst : link.src).kind == net::NodeKind::kSwitch)
+        out.push_back(l);
+    }
+    return out;
+  };
+  n.set_up(switch_links(f.server_node(1), true).front(), false);
+  n.set_up(switch_links(f.server_node(2), false).at(1), false);
+  for (const bool outgoing : {true, false})
+    for (net::LinkId l : switch_links(f.server_node(3), outgoing)) n.set_up(l, false);
+  for (net::LinkId l = 0; l < static_cast<net::LinkId>(n.link_count()); ++l) {
+    const net::Link& link = n.link(l);
+    if (n.node(link.src).kind == net::NodeKind::kSwitch &&
+        n.node(link.dst).kind == net::NodeKind::kSwitch) {
+      n.set_up(l, false);
+      break;
+    }
+  }
+  if (f.has_circuits()) n.set_up(f.circuit_link(0, 0, 1), false);
+}
+
+// Compares every pair (i, j) with i on a `stride_src` grid and j on a
+// `stride_dst` grid; returns the number of routes compared.
+int expect_route_matches_bfs(const Fabric& f, int stride_src, int stride_dst,
+                             const std::string& what) {
+  net::EcmpRouter bfs(f.network());
+  int compared = 0;
+  for (int i = 0; i < f.n_servers(); i += stride_src) {
+    for (int j = 0; j < f.n_servers(); j += stride_dst) {
+      if (i == j) continue;
+      for (const std::uint64_t hash : {1ULL, 0x9E3779B97F4A7C15ULL, 0xDEADBEEFULL}) {
+        for (const int pin : {-1, i + j + static_cast<int>(hash % 5)}) {
+          const Route got = f.route(i, j, hash, pin);
+          const auto want =
+              bfs.route(f.server_node(i), f.server_node(j), hash, pin);
+          ++compared;
+          if (got.path != want || got.extra_delay != 0) {
+            ADD_FAILURE() << what << ": " << i << "->" << j << " hash " << hash
+                          << " pin " << pin << ": route() has "
+                          << got.path.size() << " links, BFS " << want.size();
+            return compared;
+          }
+        }
+      }
+    }
+  }
+  return compared;
+}
+
+// Plain, with region-0 circuits (circuit fabrics), then with failed links.
+void expect_route_matches_bfs_under_churn(const FabricConfig& cfg, int stride_src,
+                                          int stride_dst) {
+  Fabric f = Fabric::build(cfg);
+  ASSERT_TRUE(f.leaf_spine());
+  const std::string what = std::string(to_string(cfg.kind)) + " x" +
+                           std::to_string(cfg.n_servers) + " " +
+                           to_string(cfg.core_model);
+  EXPECT_GT(expect_route_matches_bfs(f, stride_src, stride_dst, what), 0);
+  if (f.has_circuits()) {
+    f.apply_circuits(0, region0_circuits(f));
+    expect_route_matches_bfs(f, stride_src, stride_dst, what + " +circuits");
+  }
+  fail_some_links(f);
+  expect_route_matches_bfs(f, stride_src, stride_dst, what + " +failures");
+}
+
+class FabricRouteOracle : public ::testing::TestWithParam<FabricKind> {};
+
+TEST_P(FabricRouteOracle, EveryPairMatchesBfsLinkForLink) {
+  for (const int n : {8, 24, 64}) {
+    const FabricConfig cfg = FabricConfig::preset(GetParam(), n);
+    expect_route_matches_bfs_under_churn(cfg, 1, 1);
+    // The analytic core keeps the explicit graph above 1:1.
+    if (cfg.kind == FabricKind::kOverSubFatTree)
+      expect_route_matches_bfs_under_churn(
+          FabricConfig(cfg).with_core_model(CoreModel::kAnalytic), 1, 1);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LeafSpineKinds, FabricRouteOracle,
+                         ::testing::Values(FabricKind::kFatTree,
+                                           FabricKind::kOverSubFatTree,
+                                           FabricKind::kMixNet, FabricKind::kNvl72,
+                                           FabricKind::kMixNetOpticalIO),
+                         [](const ::testing::TestParamInfo<FabricKind>& info) {
+                           std::string name;
+                           for (const char c : std::string(to_string(info.param)))
+                             if (std::isalnum(static_cast<unsigned char>(c))) name += c;
+                           return name;
+                         });
+
+TEST(FabricRoute, SampledPairsMatchBfsAt4096Gpus) {
+  for (const FabricKind kind : {FabricKind::kMixNet, FabricKind::kOverSubFatTree})
+    expect_route_matches_bfs_under_churn(FabricConfig::preset(kind, 512), 7, 5);
+}
+
+TEST(FabricRoute, LeafSpineIsDecidedByKind) {
+  EXPECT_TRUE(Fabric::build(FabricConfig::fat_tree(4)).leaf_spine());
+  EXPECT_TRUE(Fabric::build(FabricConfig::mixnet(8)).leaf_spine());
+  EXPECT_FALSE(Fabric::build(FabricConfig::rail_optimized(4)).leaf_spine());
+  EXPECT_FALSE(Fabric::build(FabricConfig::topoopt(4)).leaf_spine());
 }
 
 }  // namespace
