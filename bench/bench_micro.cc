@@ -322,7 +322,7 @@ void BM_CopilotSolve(benchmark::State& state) {
   }
   state.SetLabel("experts=" + std::to_string(n));
 }
-BENCHMARK(BM_CopilotSolve)->Arg(8)->Arg(16)->Arg(64);
+BENCHMARK(BM_CopilotSolve)->Arg(8)->Arg(16)->Arg(64)->Arg(256);
 
 }  // namespace
 }  // namespace mixnet

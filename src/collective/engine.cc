@@ -99,17 +99,15 @@ void Engine::start_pair_flows(int src_server, int dst_server, Bytes bytes,
   const int n_stripes = std::max(stripes, 1);
   int launched = 0;
   for (int s = 0; s < n_stripes; ++s) {
-    const std::uint64_t hash = net::mix_hash(
-        (static_cast<std::uint64_t>(src_server) << 40) ^
-        (static_cast<std::uint64_t>(dst_server) << 20) ^
-        static_cast<std::uint64_t>(s) ^ (flow_salt_ += 0x9E3779B97F4A7C15ULL));
     // Channel pinning: stripes of a pair land on distinct NICs, and distinct
     // destinations rotate the starting NIC, like NCCL's channel assignment.
+    // The pin is never negative, so every ECMP hop takes it and no flow hash
+    // is ever read: pass 0.
     const int pin = s + dst_server + src_server;
     // Leaf-spine paths are computed; rail and TopoOpt paths come from BFS.
     topo::Route route = fabric_.leaf_spine()
-                            ? fabric_.route(src_server, dst_server, hash, pin)
-                            : topo::Route{router_.route(a, b, hash, pin), 0};
+                            ? fabric_.route(src_server, dst_server, 0, pin)
+                            : topo::Route{router_.route(a, b, 0, pin), 0};
     if (route.path.empty()) break;  // unreachable via packet fabric
     barrier->arm();
     // Switched paths pay the packet-fabric goodput tax; a single-hop

@@ -119,7 +119,6 @@ class Engine {
   net::Transport& flows_;
   net::EcmpRouter& router_;
   EngineConfig cfg_;
-  std::uint64_t flow_salt_ = 0;
   std::vector<std::tuple<int, int, int>> relays_;
 };
 

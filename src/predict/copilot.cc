@@ -3,39 +3,53 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 namespace mixnet::predict {
 
-std::vector<double> project_to_simplex(std::vector<double> v) {
-  // Duchi et al. 2008: O(n log n) Euclidean projection onto the simplex.
-  const std::size_t n = v.size();
-  std::vector<double> u = v;
-  std::sort(u.begin(), u.end(), std::greater<>());
-  double css = 0.0, theta = 0.0;
+void project_to_simplex(double* v, std::size_t n, std::size_t stride,
+                        std::uint32_t* order, double* sorted) {
+  // Duchi et al. 2008, sorting by insertion from the warm order: a nearby
+  // input leaves it almost sorted, so the sort is close to linear. Any
+  // descending sort yields the same value sequence (DESIGN.md §2).
+  for (std::size_t i = 0; i < n; ++i) sorted[i] = v[order[i] * stride];
+  for (std::size_t i = 1; i < n; ++i) {
+    const double key = sorted[i];
+    const std::uint32_t row = order[i];
+    std::size_t j = i;
+    for (; j > 0 && sorted[j - 1] < key; --j) {
+      sorted[j] = sorted[j - 1];
+      order[j] = order[j - 1];
+    }
+    sorted[j] = key;
+    order[j] = row;
+  }
+  double css = 0.0;
   std::size_t rho = 0;
   double cum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    cum += u[i];
+    cum += sorted[i];
     const double t = (cum - 1.0) / static_cast<double>(i + 1);
-    if (u[i] - t > 0.0) {
+    if (sorted[i] - t > 0.0) {
       rho = i + 1;
       css = cum;
     }
   }
   if (rho == 0) {  // degenerate input; return uniform
-    std::fill(v.begin(), v.end(), 1.0 / static_cast<double>(n));
-    return v;
+    for (std::size_t i = 0; i < n; ++i) v[i * stride] = 1.0 / static_cast<double>(n);
+    return;
   }
-  theta = (css - 1.0) / static_cast<double>(rho);
-  for (auto& x : v) x = std::max(x - theta, 0.0);
-  return v;
+  const double theta = (css - 1.0) / static_cast<double>(rho);
+  for (std::size_t i = 0; i < n; ++i) v[i * stride] = std::max(v[i * stride] - theta, 0.0);
 }
 
 Copilot::Copilot(const CopilotConfig& cfg) : cfg_(cfg) {
   const auto n = static_cast<std::size_t>(cfg_.n_experts);
   // Start from the identity: "unchanged" is the natural prior (§B.1 default).
   p_ = Matrix::identity(n);
+  order_.resize(n * n);
+  for (std::size_t i = 0; i < n * n; ++i) order_[i] = static_cast<std::uint32_t>(i % n);
 }
 
 void Copilot::observe(const std::vector<double>& x, const std::vector<double>& y) {
@@ -65,34 +79,33 @@ void Copilot::solve() {
     w *= cfg_.decay;
   }
 
-  double lr = cfg_.gd_lr;
-  if (lr <= 0.0) {
-    double max_diag = 1e-12;
-    for (std::size_t a = 0; a < n; ++a) max_diag = std::max(max_diag, sxx(a, a));
-    lr = 0.5 / (max_diag * static_cast<double>(n));
-  }
+  double max_diag = 1e-12;
+  for (std::size_t a = 0; a < n; ++a) max_diag = std::max(max_diag, sxx(a, a));
+  const double lr = 0.5 / (max_diag * static_cast<double>(n));
 
-  Matrix p = p_;
-  std::vector<double> col(n);
+  Matrix& p = p_;
+  std::vector<double> grad(n), sorted(n);
   for (int step = 0; step < cfg_.gd_steps; ++step) {
-    // grad = P Sxx - Syx  (dropping the constant factor 2 into lr)
-    Matrix grad(n, n, 0.0);
-    for (std::size_t r = 0; r < n; ++r)
-      for (std::size_t c = 0; c < n; ++c) {
-        double acc = 0.0;
-        for (std::size_t k = 0; k < n; ++k) acc += p(r, k) * sxx(k, c);
-        grad(r, c) = acc - syx(r, c);
+    // grad = P Sxx - Syx (dropping the constant factor 2 into lr), one row at
+    // a time: row r of grad reads only row r of P, so P updates in place.
+    // Each grad[c] sums its terms in ascending k from +0.0; a zero P entry
+    // adds an exact ±0.0 term, so skipping it changes no bit (DESIGN.md §2).
+    for (std::size_t r = 0; r < n; ++r) {
+      double* prow = &p(r, 0);
+      std::fill(grad.begin(), grad.end(), 0.0);
+      for (std::size_t k = 0; k < n; ++k) {
+        const double pk = prow[k];
+        if (pk == 0.0) continue;
+        const double* srow = &sxx(k, 0);
+        for (std::size_t c = 0; c < n; ++c) grad[c] += pk * srow[c];
       }
-    for (std::size_t r = 0; r < n; ++r)
-      for (std::size_t c = 0; c < n; ++c) p(r, c) -= lr * grad(r, c);
-    // Project every column onto the simplex (columns sum to 1, entries >= 0).
-    for (std::size_t c = 0; c < n; ++c) {
-      for (std::size_t r = 0; r < n; ++r) col[r] = p(r, c);
-      col = project_to_simplex(std::move(col));
-      for (std::size_t r = 0; r < n; ++r) p(r, c) = col[r];
+      const double* yrow = &syx(r, 0);
+      for (std::size_t c = 0; c < n; ++c) prow[c] -= lr * (grad[c] - yrow[c]);
     }
+    // Project every column onto the simplex (columns sum to 1, entries >= 0).
+    for (std::size_t c = 0; c < n; ++c)
+      project_to_simplex(&p(0, c), n, n, &order_[c * n], sorted.data());
   }
-  p_ = std::move(p);
 }
 
 std::vector<double> Copilot::predict(const std::vector<double>& x) const {

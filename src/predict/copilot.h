@@ -10,7 +10,12 @@
 //
 // The paper solves this with scipy's SLSQP; we use projected gradient
 // descent with per-column simplex projection (Duchi et al.), which solves
-// the identical constrained least-squares problem (DESIGN.md §2).
+// the identical constrained least-squares problem (DESIGN.md §2). The
+// gradient streams rows of P and skips its zero entries, and each column's
+// projection re-sorts from the previous step's order; both are exact, so
+// the result matches the plain element-wise, full-sort solver
+// (tests/oracle/copilot_reference.h) bit for bit. The step size is
+// 0.5 / (max diag(Sxx) * n).
 //
 // Prediction: given the previous layer's realized load X, the next layer's
 // load is P X. Accuracy is reported as top-K overlap with the realized load
@@ -18,6 +23,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -31,12 +37,18 @@ struct CopilotConfig {
   int window = 16;          ///< k in Eq. 1: recent iterations kept
   double decay = 0.85;      ///< w_i = decay^(age)
   int gd_steps = 60;        ///< projected-gradient iterations per solve
-  double gd_lr = 0.0;       ///< 0 => auto (1 / max column energy)
   int resolve_every = 4;    ///< recompute P every this many observations
 };
 
-/// Project v onto the probability simplex {x >= 0, sum x = 1}.
-std::vector<double> project_to_simplex(std::vector<double> v);
+/// Project the n entries v[0], v[stride], ..., v[(n - 1) * stride] onto the
+/// probability simplex {x >= 0, sum x = 1}, in place (Duchi et al.).
+/// `order` is a permutation of [0, n): the starting guess for the
+/// descending sort, and on return the entries' descending order, so passing
+/// it back for a nearby input makes the re-sort almost linear. `sorted` is
+/// n doubles of scratch. Both are caller-owned: a projection allocates
+/// nothing.
+void project_to_simplex(double* v, std::size_t n, std::size_t stride,
+                        std::uint32_t* order, double* sorted);
 
 class Copilot {
  public:
@@ -60,6 +72,8 @@ class Copilot {
 
   CopilotConfig cfg_;
   Matrix p_;
+  /// Column c's row order from its last projection, at [c * n, (c + 1) * n).
+  std::vector<std::uint32_t> order_;
   std::deque<std::pair<std::vector<double>, std::vector<double>>> window_;
   std::size_t seen_ = 0;
 };

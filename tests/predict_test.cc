@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 
 #include "common/rng.h"
 #include "moe/gate.h"
+#include "oracle/copilot_reference.h"
 #include "predict/copilot.h"
 
 namespace mixnet::predict {
@@ -12,8 +15,17 @@ namespace {
 
 // ------------------------------------------------------------ simplex ----
 
+/// Project v through the in-place routine, sorting from the identity order.
+std::vector<double> project(std::vector<double> v) {
+  std::vector<std::uint32_t> order(v.size());
+  std::iota(order.begin(), order.end(), 0U);
+  std::vector<double> sorted(v.size());
+  project_to_simplex(v.data(), v.size(), 1, order.data(), sorted.data());
+  return v;
+}
+
 TEST(Simplex, AlreadyOnSimplexUnchanged) {
-  const auto v = project_to_simplex({0.25, 0.25, 0.5});
+  const auto v = project({0.25, 0.25, 0.5});
   EXPECT_NEAR(v[0], 0.25, 1e-12);
   EXPECT_NEAR(v[2], 0.5, 1e-12);
 }
@@ -23,7 +35,7 @@ TEST(Simplex, ProjectionSumsToOneNonNegative) {
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<double> v(16);
     for (auto& x : v) x = rng.uniform(-2.0, 2.0);
-    const auto p = project_to_simplex(v);
+    const auto p = project(v);
     double s = 0.0;
     for (double x : p) {
       EXPECT_GE(x, -1e-12);
@@ -34,8 +46,36 @@ TEST(Simplex, ProjectionSumsToOneNonNegative) {
 }
 
 TEST(Simplex, LargeCoordinateDominates) {
-  const auto p = project_to_simplex({10.0, 0.0, 0.0});
+  const auto p = project({10.0, 0.0, 0.0});
   EXPECT_NEAR(p[0], 1.0, 1e-12);
+}
+
+TEST(Simplex, WarmOrderChangesNoBitAndComesBackSorted) {
+  // A strided column (every third entry) projected from a shuffled starting
+  // order gives the same bits as from the identity order, touches nothing
+  // between its entries, and returns its rows in descending order.
+  Rng rng(11);
+  const std::size_t n = 24, stride = 3;
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<double> col(n);
+    for (auto& x : col) x = rng.uniform(-1.0, 1.0);
+    for (std::size_t i = 0; i < n; i += 5) col[i] = 0.25;  // ties
+    std::vector<double> strided(n * stride, 7.0);
+    for (std::size_t i = 0; i < n; ++i) strided[i * stride] = col[i];
+    std::vector<std::uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0U);
+    for (std::size_t i = n - 1; i > 0; --i)
+      std::swap(order[i], order[rng.uniform_int(i + 1)]);
+    std::vector<double> sorted(n);
+    project_to_simplex(strided.data(), n, stride, order.data(), sorted.data());
+    const auto cold = project(col);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(0, std::memcmp(&strided[i * stride], &cold[i], sizeof(double)));
+      for (std::size_t gap = 1; gap < stride; ++gap)
+        EXPECT_EQ(strided[i * stride + gap], 7.0);
+    }
+    for (std::size_t i = 1; i < n; ++i) EXPECT_GE(col[order[i - 1]], col[order[i]]);
+  }
 }
 
 // ------------------------------------------------------------- copilot ----
@@ -123,6 +163,66 @@ TEST(Copilot, IdentityPriorBeforeObservations) {
   const std::vector<double> x = {0.7, 0.1, 0.1, 0.1};
   const auto pred = cp.predict(x);  // identity transition == unchanged
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(pred[i], x[i], 1e-12);
+}
+
+// ------------------------------------------------------ copilot oracle ----
+
+/// Streams observations into Copilot and into the reference solver
+/// (tests/oracle/copilot_reference.h) and requires the same transition
+/// matrix bit for bit after every observation: memcmp, so +0.0 and -0.0
+/// differ. The loads follow y = T x for a random column-stochastic T with
+/// Dirichlet(alpha) columns, so P grows as sparse as T; every fifth expert
+/// (offset by the seed) receives no tokens in either layer.
+void expect_bit_identical(int n, int resolve_every, double alpha,
+                          std::uint64_t seed, int gd_steps = 60) {
+  SCOPED_TRACE(testing::Message() << "n=" << n << " resolve_every=" << resolve_every
+                                  << " alpha=" << alpha << " seed=" << seed);
+  CopilotConfig cfg;
+  cfg.n_experts = n;
+  cfg.resolve_every = resolve_every;
+  cfg.gd_steps = gd_steps;
+  Copilot fast(cfg);
+  CopilotReference ref(cfg);
+  const auto un = static_cast<std::size_t>(n);
+  Rng rng(seed);
+  Matrix t(un, un);
+  for (std::size_t c = 0; c < un; ++c) {
+    const auto col = rng.dirichlet(un, alpha);
+    for (std::size_t r = 0; r < un; ++r) t(r, c) = col[r];
+  }
+  const int observations = 2 * resolve_every;  // two solves
+  for (int i = 0; i < observations; ++i) {
+    auto x = rng.dirichlet(un, alpha);
+    for (std::size_t e = seed % 5; e < un; e += 5) x[e] = 0.0;
+    auto y = t.mul(x);
+    for (std::size_t e = seed % 5; e < un; e += 5) y[e] = 0.0;
+    fast.observe(x, y);
+    ref.observe(x, y);
+    const auto& a = fast.transition().data();
+    const auto& b = ref.transition().data();
+    ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)))
+        << "after observation " << i;
+  }
+}
+
+// The reference costs n^3 per gradient step (about 50x more under the
+// sanitizer build), so the larger sizes take fewer combinations and the
+// largest fewer steps.
+TEST(CopilotOracle, BitIdenticalAt8Experts) {
+  for (int re : {1, 4, 64})
+    for (double alpha : {0.05, 0.5})
+      for (std::uint64_t seed : {1, 2, 3}) expect_bit_identical(8, re, alpha, seed);
+}
+
+TEST(CopilotOracle, BitIdenticalAt64Experts) {
+  std::uint64_t seed = 10;
+  for (int re : {1, 4, 64})
+    for (double alpha : {0.05, 0.5}) expect_bit_identical(64, re, alpha, ++seed);
+}
+
+TEST(CopilotOracle, BitIdenticalAt256Experts) {
+  expect_bit_identical(256, 1, 0.05, 21, /*gd_steps=*/4);
+  expect_bit_identical(256, 64, 0.5, 22, /*gd_steps=*/4);
 }
 
 // --------------------------------------------------------------- top-k ----
