@@ -163,32 +163,51 @@ void BM_PacketEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketEngine);
 
-// BFS routing on a rail-optimized fabric, a kind whose paths still come
-// from net::EcmpRouter (the destination's tree is cached after the first
-// call, so this is the per-route walk).
+// BFS routing on TopoOpt, the one kind whose hosts forward and whose paths
+// therefore still come from net::EcmpRouter: a 128-server circuit graph of
+// a doubled ring plus +/-16 chords, routed half-way round (the
+// destination's tree is cached after the first call, so this is the
+// per-route walk).
 void BM_EcmpRouting(benchmark::State& state) {
-  auto fabric = topo::Fabric::build(topo::FabricConfig::rail_optimized(128));
-  net::EcmpRouter router(fabric.network());
+  auto fabric = topo::Fabric::build(topo::FabricConfig::topoopt(128));
+  const std::size_t n = 128;
+  Matrix counts(n, n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const auto& [step, k] : {std::pair{1, 2.0}, std::pair{16, 1.0}}) {
+      const std::size_t j = (i + static_cast<std::size_t>(step)) % n;
+      counts(i, j) += k;
+      counts(j, i) += k;
+    }
+  }
+  fabric.apply_circuits(0, counts);
+  net::EcmpRouter router(fabric.network(), /*allow_server_transit=*/true);
   std::uint64_t h = 0;
+  std::size_t hops = 0;
   for (auto _ : state) {
-    auto path = router.route(fabric.server_node(0), fabric.server_node(127),
+    auto path = router.route(fabric.server_node(0), fabric.server_node(64),
                              net::mix_hash(++h));
     benchmark::DoNotOptimize(path.size());
+    hops = path.size();
   }
+  state.SetLabel("hops=" + std::to_string(hops));
 }
 BENCHMARK(BM_EcmpRouting);
 
-// The computed leaf-spine route (topo::Fabric::route), cross-rack on a
-// 128-server fat-tree: the path every leaf-spine flow takes.
+// The computed route (topo::Fabric::route) every switched flow takes,
+// across the core of a 128-server fabric: Arg(0) fat-tree cross-rack,
+// Arg(1) rail-optimized cross-pod (pods of 32 servers).
 void BM_FabricRoute(benchmark::State& state) {
-  const auto fabric = topo::Fabric::build(topo::FabricConfig::fat_tree(128));
+  const auto fabric = topo::Fabric::build(
+      state.range(0) == 0 ? topo::FabricConfig::fat_tree(128)
+                          : topo::FabricConfig::rail_optimized(128));
   std::uint64_t h = 0;
   for (auto _ : state) {
     auto route = fabric.route(0, 127, net::mix_hash(++h));
     benchmark::DoNotOptimize(route.path.size());
   }
+  state.SetLabel(to_string(fabric.config().kind));
 }
-BENCHMARK(BM_FabricRoute);
+BENCHMARK(BM_FabricRoute)->Arg(0)->Arg(1);
 
 // Fabric construction at the fig26-xl scale point: 131072 GPUs = 16384
 // servers. Guards the O(n) leaf-spine build (reserve + single pass); Arg(0)

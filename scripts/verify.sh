@@ -25,7 +25,7 @@ Usage: scripts/verify.sh [--jobs N] [--quick] [--lint] [--help]
 
 Environment overrides (kept for CI matrix use):
   MIXNET_SMOKE_BENCHES   space-separated scenario names (default "fig12
-                         fig13 serve-storm fidelity-ladder fig26-xl";
+                         fig13 serve-storm fidelity-ladder fig26-xl fig26";
                          empty skips the smoke entirely)
   MIXNET_SMOKE_JOBS      smoke worker count (overrides --jobs for the smoke)
 EOF
@@ -77,13 +77,14 @@ fi
 # backends and machine-gates their agreement, DESIGN.md §12), and the
 # analytic-core scaling sweep (fig26-xl gates the explicit-vs-analytic
 # equivalence and the throughput monotonicity up to 131072 GPUs,
-# DESIGN.md §13),
+# DESIGN.md §13), and Figure 26 itself (fig26 gates the fat-tree, MixNet
+# and rail-optimized columns' linear scaling and perf/$ up to 32k GPUs),
 # executed by `mixnet-bench --run <scenario> --jobs N --check` so sweep
 # points use the requested cores and the registered paper-shape checks
 # (ScenarioInfo::check, see EXPERIMENTS.md) gate the run. In --quick mode
 # only the mixnet-bench target is built (the test suites are never run).
 cmake --build build -j "$jobs" -t mixnet-bench
-smoke_benches=${MIXNET_SMOKE_BENCHES-"fig12 fig13 serve-storm fidelity-ladder fig26-xl"}
+smoke_benches=${MIXNET_SMOKE_BENCHES-"fig12 fig13 serve-storm fidelity-ladder fig26-xl fig26"}
 smoke_jobs=${MIXNET_SMOKE_JOBS-$jobs}
 total_ns=0
 bench_json=""

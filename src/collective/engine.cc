@@ -104,10 +104,11 @@ void Engine::start_pair_flows(int src_server, int dst_server, Bytes bytes,
     // The pin is never negative, so every ECMP hop takes it and no flow hash
     // is ever read: pass 0.
     const int pin = s + dst_server + src_server;
-    // Leaf-spine paths are computed; rail and TopoOpt paths come from BFS.
-    topo::Route route = fabric_.leaf_spine()
-                            ? fabric_.route(src_server, dst_server, 0, pin)
-                            : topo::Route{router_.route(a, b, 0, pin), 0};
+    // Switched-fabric paths are computed; TopoOpt's hosts forward, so its
+    // paths come from BFS over the circuit graph.
+    topo::Route route = fabric_.hosts_forward()
+                            ? topo::Route{router_.route(a, b, 0, pin), 0}
+                            : fabric_.route(src_server, dst_server, 0, pin);
     if (route.path.empty()) break;  // unreachable via packet fabric
     barrier->arm();
     // Switched paths pay the packet-fabric goodput tax; a single-hop

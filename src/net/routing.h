@@ -7,10 +7,11 @@
 // a real fabric). BFS trees are kept in a small LRU cache so repeated
 // routing to the same destination (the common case: collectives) is O(path).
 //
-// Leaf-spine fabrics do not route here: topo::Fabric::route() computes the
-// same paths from the fabric's structure. The BFS router serves the fabrics
-// whose paths depend on the graph (rail-optimized, and TopoOpt, where hosts
-// forward) and is the oracle Fabric::route is tested against.
+// Switched fabrics (leaf-spine and rail-optimized) do not route here:
+// topo::Fabric::route() computes the same paths from the fabric's
+// structure. The BFS router serves only TopoOpt, where hosts forward and a
+// path depends on the circuit graph, and is the oracle Fabric::route is
+// tested against.
 #pragma once
 
 #include <cstdint>

@@ -26,8 +26,7 @@ PhaseRunner::PhaseRunner(const topo::Fabric& fabric,
       ecfg_(ecfg),
       backend_(backend),
       pkt_(pkt),
-      router_(fabric.network(), /*allow_server_transit=*/fabric.config().kind ==
-                                    topo::FabricKind::kTopoOpt),
+      router_(fabric.network(), /*allow_server_transit=*/fabric.hosts_forward()),
       cache_capacity_(cache_capacity) {
   // The packet engine walks node-contiguous hops; analytic-core paths skip
   // the collapsed core entirely, so the combination cannot be simulated.

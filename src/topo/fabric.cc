@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <tuple>
 
 #include "common/canonical.h"
 #include "net/routing.h"
@@ -30,10 +31,25 @@ const char* to_string(FabricKind k) {
 
 namespace {
 
-// Every kind but rail-optimized and TopoOpt has one leaf-spine packet core,
-// whose paths Fabric::route computes.
+// Every kind but rail-optimized and TopoOpt has one leaf-spine packet core.
 bool is_leaf_spine(FabricKind k) {
   return k != FabricKind::kRailOptimized && k != FabricKind::kTopoOpt;
+}
+
+// The ECMP choice at `hop` among the indices k in [0, n) for which
+// `candidate(k)` holds, taken in index order as net::EcmpRouter takes a
+// node's candidate out-links; -1 when there is none.
+template <typename Candidate>
+int ecmp_candidate(int n, const Candidate& candidate, std::uint64_t flow_hash,
+                   int hop, int pin_index) {
+  int n_ok = 0;
+  for (int k = 0; k < n; ++k)
+    if (candidate(k)) ++n_ok;
+  if (n_ok == 0) return -1;
+  auto pick = net::ecmp_pick(flow_hash, hop, pin_index,
+                             static_cast<std::uint64_t>(n_ok));
+  for (int k = 0;; ++k)  // pick < n_ok: the scan stops on a candidate
+    if (candidate(k) && pick-- == 0) return k;
 }
 
 }  // namespace
@@ -160,7 +176,7 @@ bool Fabric::has_circuits() const {
 
 bool Fabric::has_eps() const { return cfg_.kind != FabricKind::kTopoOpt; }
 
-bool Fabric::leaf_spine() const { return is_leaf_spine(cfg_.kind); }
+bool Fabric::hosts_forward() const { return cfg_.kind == FabricKind::kTopoOpt; }
 
 int Fabric::optical_degree() const {
   switch (cfg_.kind) {
@@ -210,8 +226,8 @@ void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
                net_.link_count() + nic_links * 2 + uplinks * 2);
   nic_up_.reserve(nic_links);
   nic_down_.reserve(nic_links);
-  rack_up_.reserve(uplinks);
-  rack_down_.reserve(uplinks);
+  core_up_.reserve(uplinks);
+  core_down_.reserve(uplinks);
 
   const NodeId core =
       core_collapsed_ ? net::kInvalidNode : net_.add_node(NodeKind::kSwitch);
@@ -233,8 +249,8 @@ void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
     if (core_collapsed_) continue;
     const Bps up_cap = cfg_.nic_bw() * nics_toward_eps * servers_in_rack / oversub;
     const auto [up, down] = net_.add_duplex(tor, core, up_cap, cfg_.link_delay);
-    rack_up_.push_back(up);
-    rack_down_.push_back(down);
+    core_up_.push_back(up);
+    core_down_.push_back(down);
   }
 }
 
@@ -244,26 +260,35 @@ void Fabric::build_rail_optimized() {
   // two hops apart; cross-rail traffic goes through the core.
   const int n = n_servers();
   const int rails = cfg_.nics_per_server;
-  const int pod_size = std::max(cfg_.servers_per_rack * 4, 32);  // servers per pod
-  const int n_pods = (n + pod_size - 1) / pod_size;
-  net_.reserve(net_.node_count() + 1 +
-                   static_cast<std::size_t>(n_pods) * rails,
-               net_.link_count() + static_cast<std::size_t>(n) * rails * 2 +
-                   static_cast<std::size_t>(n_pods) * rails * 2);
+  eps_nics_used_ = rails;
+  pod_servers_ = std::max(cfg_.servers_per_rack * 4, 32);
+  const int n_pods = (n + pod_servers_ - 1) / pod_servers_;
+  const auto nic_links = static_cast<std::size_t>(n) * rails;
+  const auto uplinks = static_cast<std::size_t>(n_pods) * rails;
+  net_.reserve(net_.node_count() + 1 + uplinks,
+               net_.link_count() + nic_links * 2 + uplinks * 2);
+  nic_up_.resize(nic_links);
+  nic_down_.resize(nic_links);
+  core_up_.reserve(uplinks);
+  core_down_.reserve(uplinks);
   const NodeId core = net_.add_node(NodeKind::kSwitch);
   ++n_switches_;
   for (int p = 0; p < n_pods; ++p) {
-    const int lo = p * pod_size;
-    const int hi = std::min(n, (p + 1) * pod_size);
+    const int lo = p * pod_servers_;
+    const int hi = std::min(n, (p + 1) * pod_servers_);
     for (int rail = 0; rail < rails; ++rail) {
       const NodeId sw = net_.add_node(NodeKind::kSwitch);
       ++n_switches_;
       for (int s = lo; s < hi; ++s) {
-        net_.add_duplex(servers_[static_cast<std::size_t>(s)], sw, cfg_.nic_bw(),
-                        cfg_.link_delay);
+        const auto k = static_cast<std::size_t>(s) * rails + rail;
+        std::tie(nic_up_[k], nic_down_[k]) =
+            net_.add_duplex(servers_[static_cast<std::size_t>(s)], sw,
+                            cfg_.nic_bw(), cfg_.link_delay);
       }
       const Bps up = cfg_.nic_bw() * (hi - lo);  // 1:1 toward core
-      net_.add_duplex(sw, core, up, cfg_.link_delay);
+      const auto [sw_up, sw_down] = net_.add_duplex(sw, core, up, cfg_.link_delay);
+      core_up_.push_back(sw_up);
+      core_down_.push_back(sw_down);
     }
   }
 }
@@ -322,8 +347,10 @@ Fabric Fabric::build(const FabricConfig& cfg) {
 
 Route Fabric::route(int src_server, int dst_server, std::uint64_t flow_hash,
                     int pin_index) const {
-  assert(leaf_spine() && "Fabric::route computes leaf-spine paths only");
+  assert(!hosts_forward() && "Fabric::route computes switched-fabric paths only");
   if (src_server == dst_server) return {};
+  if (cfg_.kind == FabricKind::kRailOptimized)
+    return route_rail(src_server, dst_server, flow_hash, pin_index);
   const NodeId a = servers_[static_cast<std::size_t>(src_server)];
   const NodeId b = servers_[static_cast<std::size_t>(dst_server)];
 
@@ -335,18 +362,15 @@ Route Fabric::route(int src_server, int dst_server, std::uint64_t flow_hash,
       direct != net::kInvalidLink && net::routable(net_.link(direct)))
     return {{direct}, 0};
 
-  // Candidate NIC pick at one hop, as in EcmpRouter: candidates are the
-  // routable links in insertion (NIC) order.
+  // Every NIC reaches the same ToR, so each NIC hop picks among that
+  // server's routable NIC links on its own.
   const auto pick_nic = [this, flow_hash, pin_index](const LinkId* base,
                                                      int hop) -> LinkId {
-    int n_up = 0;
-    for (int k = 0; k < eps_nics_used_; ++k)
-      if (net::routable(net_.link(base[k]))) ++n_up;
-    if (n_up == 0) return net::kInvalidLink;
-    auto pick = net::ecmp_pick(flow_hash, hop, pin_index,
-                               static_cast<std::uint64_t>(n_up));
-    for (int k = 0;; ++k)  // pick < n_up: the scan stops on a candidate
-      if (net::routable(net_.link(base[k])) && pick-- == 0) return base[k];
+    const int k = ecmp_candidate(
+        eps_nics_used_,
+        [this, base](int i) { return net::routable(net_.link(base[i])); },
+        flow_hash, hop, pin_index);
+    return k < 0 ? net::kInvalidLink : base[k];
   };
 
   const int rack_src = src_server / cfg_.servers_per_rack;
@@ -372,11 +396,49 @@ Route Fabric::route(int src_server, int dst_server, std::uint64_t flow_hash,
   if (up == net::kInvalidLink || down == net::kInvalidLink) return {};
   // A collapsed core's links carry no state; only their propagation remains.
   if (core_collapsed_) return {{up, down}, 2 * cfg_.link_delay};
-  const LinkId ru = rack_up_[static_cast<std::size_t>(rack_src)];
-  const LinkId rd = rack_down_[static_cast<std::size_t>(rack_dst)];
+  const LinkId ru = core_up_[static_cast<std::size_t>(rack_src)];
+  const LinkId rd = core_down_[static_cast<std::size_t>(rack_dst)];
   if (!net::routable(net_.link(ru)) || !net::routable(net_.link(rd)))
     return {};  // core path severed; matches the router's unreachable case
   return {{up, ru, rd, down}, 0};
+}
+
+Route Fabric::route_rail(int src_server, int dst_server, std::uint64_t flow_hash,
+                         int pin_index) const {
+  // NIC k reaches only rail switch k of its pod, so a rail is a candidate
+  // only while every link of the path through it is routable.
+  const int rails = eps_nics_used_;
+  const auto live = [this](LinkId l) { return net::routable(net_.link(l)); };
+  const LinkId* src_up =
+      nic_up_.data() + static_cast<std::size_t>(src_server) * rails;
+  const LinkId* dst_down =
+      nic_down_.data() + static_cast<std::size_t>(dst_server) * rails;
+  const int pod_src = src_server / pod_servers_;
+  const int pod_dst = dst_server / pod_servers_;
+
+  // server -> rail switch k -> server (hops 0 and 1), inside one pod.
+  if (pod_src == pod_dst) {
+    const int k = ecmp_candidate(
+        rails, [&](int i) { return live(src_up[i]) && live(dst_down[i]); },
+        flow_hash, 0, pin_index);
+    if (k >= 0) return {{src_up[k], dst_down[k]}, 0};
+  }
+
+  // server -> rail switch k -> core -> rail switch j -> server: across pods,
+  // or inside one when no live rail joins the pair. The rail switch's core
+  // link (hop 1) and the down-link (hop 3) are lone candidates.
+  const LinkId* to_core =
+      core_up_.data() + static_cast<std::size_t>(pod_src) * rails;
+  const LinkId* from_core =
+      core_down_.data() + static_cast<std::size_t>(pod_dst) * rails;
+  const int k = ecmp_candidate(
+      rails, [&](int i) { return live(src_up[i]) && live(to_core[i]); },
+      flow_hash, 0, pin_index);
+  const int j = ecmp_candidate(
+      rails, [&](int i) { return live(from_core[i]) && live(dst_down[i]); },
+      flow_hash, 2, pin_index);
+  if (k < 0 || j < 0) return {};
+  return {{src_up[k], to_core[k], from_core[j], dst_down[j]}, 0};
 }
 
 std::string Fabric::describe() const {

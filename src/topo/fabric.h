@@ -15,12 +15,15 @@
 // using `nvlink_gbps_per_gpu` (they never contend with scale-out links).
 //
 // Electrical cores are modeled as ideal non-blocking crossbars. Routing
-// follows the topology: on the leaf-spine kinds (fat-tree, over-subscribed
-// fat-tree, the EPS half of MixNet / optical I/O, NVL72) a path is fixed
-// arithmetic -- NIC up-link, ToR uplink, core, ToR downlink, NIC down-link,
-// or a direct circuit -- and Fabric::route() computes it in O(1). Rail-
-// optimized and TopoOpt route by per-destination BFS (net::EcmpRouter),
-// which is also the oracle route() is tested against link for link.
+// follows the topology: on every switched fabric a path is fixed arithmetic
+// and Fabric::route() computes it in O(1). On the leaf-spine kinds
+// (fat-tree, over-subscribed fat-tree, the EPS half of MixNet / optical
+// I/O, NVL72) it is a direct circuit, or NIC up-link, ToR uplink, core, ToR
+// downlink, NIC down-link; on rail-optimized it is server, rail switch,
+// server inside a pod, or server, rail switch, core, rail switch, server.
+// Only TopoOpt, where hosts forward, routes by per-destination BFS
+// (net::EcmpRouter), which is also the oracle route() is tested against
+// link for link.
 //
 // The core model only decides what the graph holds (DESIGN.md §13):
 //
@@ -155,7 +158,7 @@ struct FabricConfig {
   }
 };
 
-/// A computed leaf-spine route: the links that carry per-flow state, plus
+/// A computed route: the links that carry per-flow state, plus
 /// the propagation delay of a collapsed core's hops so completion times
 /// match the explicit graph exactly.
 struct Route {
@@ -193,18 +196,19 @@ class Fabric {
   /// True if servers also connect to a packet-switched fabric.
   bool has_eps() const;
 
-  /// True for the leaf-spine kinds, whose paths route() computes;
-  /// rail-optimized and TopoOpt route through net::EcmpRouter instead.
-  bool leaf_spine() const;
+  /// True only for TopoOpt, whose hosts forward traffic: its paths depend
+  /// on the circuit graph and route through net::EcmpRouter. Every other
+  /// kind is switched and route() computes its paths.
+  bool hosts_forward() const;
 
-  /// O(1) computed route between two servers of a leaf-spine fabric.
-  /// Reproduces net::EcmpRouter's choices on the same graph link for link
-  /// (without server transit): a direct routable circuit wins (1-hop
-  /// shortest path), otherwise the routable NIC links are taken in insertion
-  /// order and picked by net::ecmp_pick at the hop indices of the 2- or
-  /// 4-hop path. Returns an empty path when the pair is unreachable (all
-  /// NICs or the core path down), matching the router; extra_delay carries
-  /// the propagation of a collapsed core's hops.
+  /// O(1) computed route between two servers of a switched fabric
+  /// (!hosts_forward()). Reproduces net::EcmpRouter's choices on the same
+  /// graph link for link (without server transit): a direct routable circuit
+  /// wins (1-hop shortest path); otherwise the candidates at each hop are
+  /// the routable links in insertion order that lie on a shortest path, and
+  /// net::ecmp_pick chooses among them at that hop's index. Returns an empty
+  /// path when the pair is unreachable, matching the router; extra_delay
+  /// carries the propagation of a collapsed core's hops.
   Route route(int src_server, int dst_server, std::uint64_t flow_hash,
               int pin_index = -1) const;
 
@@ -246,6 +250,8 @@ class Fabric {
  private:
   void build_eps_leaf_spine(int nics_toward_eps, double oversub);
   void build_rail_optimized();
+  Route route_rail(int src_server, int dst_server, std::uint64_t flow_hash,
+                   int pin_index) const;
   void init_regions(int servers_per_region);
 
   FabricConfig cfg_;
@@ -255,14 +261,19 @@ class Fabric {
   std::vector<int> region_of_;             // server index -> region
   int n_switches_ = 0;
 
-  // Leaf-spine link tables for route(). NIC links are stored SoA so a route
-  // touches two cache lines.
+  // Link tables for route(), stored SoA so a route touches few cache lines.
+  // Leaf-spine: NIC k of a server links to its rack's ToR, and each ToR to
+  // the core. Rail-optimized: NIC k links to rail switch k of the server's
+  // pod, and each rail switch to the core.
   bool core_collapsed_ = false;  // analytic 1:1 core: uplinks absent from the graph
   int eps_nics_used_ = 0;        // NIC links per server toward the EPS
-  std::vector<net::LinkId> nic_up_;    // [server * eps_nics_used_ + k] srv->tor
-  std::vector<net::LinkId> nic_down_;  // [server * eps_nics_used_ + k] tor->srv
-  std::vector<net::LinkId> rack_up_;   // [rack] tor->core (empty if collapsed)
-  std::vector<net::LinkId> rack_down_; // [rack] core->tor
+  int pod_servers_ = 0;          // rail-optimized servers per pod
+  std::vector<net::LinkId> nic_up_;    // [server * eps_nics_used_ + k] srv->tor/rail
+  std::vector<net::LinkId> nic_down_;  // [server * eps_nics_used_ + k] tor/rail->srv
+  // Switch->core links: [rack] per ToR, or [pod * eps_nics_used_ + k] per
+  // rail switch. Empty if the core is collapsed.
+  std::vector<net::LinkId> core_up_;
+  std::vector<net::LinkId> core_down_;  // core->switch, same index
 
   struct CircuitPair {
     net::LinkId fwd = net::kInvalidLink;

@@ -451,6 +451,17 @@ TEST(ResultTable, TextRendersLegacyFixedWidthFormat) {
             "ratio: 2x\n");
 }
 
+TEST(ResultTable, TextSeparatesOverWidthCells) {
+  ResultTable t("Figure Y", "wide", {"label", "value"}, 8);
+  t.add_row({"re-placement off", Cell::num(840.7, 1)});
+  t.add_row({"exactly8", Cell::num(1.0, 1)});
+  EXPECT_EQ(t.to_text(),
+            "\n==== Figure Y: wide ====\n"
+            "label   value   \n"
+            "re-placement off 840.7   \n"
+            "exactly8 1.0     \n");
+}
+
 TEST(ResultTable, CsvEmitsRawValuesAndQuotesText) {
   EXPECT_EQ(sample_table().to_csv(),
             "name,value\n"

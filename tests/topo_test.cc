@@ -348,7 +348,7 @@ TEST(AnalyticCore, DescribeEmitsCanonicalJson) {
 
 // --- Fabric::route against the BFS oracle. ---------------------------------
 //
-// On every leaf-spine kind, route() must return exactly the links
+// On every switched kind, route() must return exactly the links
 // net::EcmpRouter picks on the same graph (servers do not forward): same
 // links, same order, for hashed and pinned flows, before and after circuits
 // are installed and links fail.
@@ -366,8 +366,9 @@ Matrix region0_circuits(const Fabric& f) {
 }
 
 // Downs one NIC up-link of server 1, one NIC down-link of server 2, every
-// EPS link of server 3, one ToR uplink when the core is in the graph, and
-// one direction of region 0's first circuit.
+// EPS link of server 3, the first switch-to-core link (a ToR or rail
+// uplink) when the core is in the graph, and one direction of region 0's
+// first circuit.
 void fail_some_links(Fabric& f) {
   net::Network& n = f.network();
   const auto switch_links = [&n](net::NodeId server, bool outgoing) {
@@ -427,7 +428,7 @@ int expect_route_matches_bfs(const Fabric& f, int stride_src, int stride_dst,
 void expect_route_matches_bfs_under_churn(const FabricConfig& cfg, int stride_src,
                                           int stride_dst) {
   Fabric f = Fabric::build(cfg);
-  ASSERT_TRUE(f.leaf_spine());
+  ASSERT_FALSE(f.hosts_forward());
   const std::string what = std::string(to_string(cfg.kind)) + " x" +
                            std::to_string(cfg.n_servers) + " " +
                            to_string(cfg.core_model);
@@ -453,28 +454,65 @@ TEST_P(FabricRouteOracle, EveryPairMatchesBfsLinkForLink) {
   }
 }
 
+std::string kind_test_name(const ::testing::TestParamInfo<FabricKind>& info) {
+  std::string name;
+  for (const char c : std::string(to_string(info.param)))
+    if (std::isalnum(static_cast<unsigned char>(c))) name += c;
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(LeafSpineKinds, FabricRouteOracle,
                          ::testing::Values(FabricKind::kFatTree,
                                            FabricKind::kOverSubFatTree,
                                            FabricKind::kMixNet, FabricKind::kNvl72,
                                            FabricKind::kMixNetOpticalIO),
-                         [](const ::testing::TestParamInfo<FabricKind>& info) {
-                           std::string name;
-                           for (const char c : std::string(to_string(info.param)))
-                             if (std::isalnum(static_cast<unsigned char>(c))) name += c;
-                           return name;
-                         });
+                         kind_test_name);
+
+// 64 rail-optimized servers are two 32-server pods: cross-pod paths too.
+INSTANTIATE_TEST_SUITE_P(RailKind, FabricRouteOracle,
+                         ::testing::Values(FabricKind::kRailOptimized),
+                         kind_test_name);
 
 TEST(FabricRoute, SampledPairsMatchBfsAt4096Gpus) {
   for (const FabricKind kind : {FabricKind::kMixNet, FabricKind::kOverSubFatTree})
     expect_route_matches_bfs_under_churn(FabricConfig::preset(kind, 512), 7, 5);
 }
 
-TEST(FabricRoute, LeafSpineIsDecidedByKind) {
-  EXPECT_TRUE(Fabric::build(FabricConfig::fat_tree(4)).leaf_spine());
-  EXPECT_TRUE(Fabric::build(FabricConfig::mixnet(8)).leaf_spine());
-  EXPECT_FALSE(Fabric::build(FabricConfig::rail_optimized(4)).leaf_spine());
-  EXPECT_FALSE(Fabric::build(FabricConfig::topoopt(4)).leaf_spine());
+// 4096 servers in 128 pods; 142 destinations stay under the BFS oracle's
+// 512-tree LRU, so each tree is built once per pass.
+TEST(FabricRoute, RailSampledPairsMatchBfsAt32768Gpus) {
+  expect_route_matches_bfs_under_churn(FabricConfig::rail_optimized(4096), 41, 29);
+}
+
+// Server 0 keeps only its rail-0 up-link and server 1 (same pod) only its
+// rail-1 down-link: no rail joins them, so the path climbs to the core and
+// comes back down rail 1 of the same pod, as BFS finds it.
+TEST(FabricRoute, RailDisjointRailsCrossTheCore) {
+  Fabric f = Fabric::build(FabricConfig::rail_optimized(8));
+  net::Network& n = f.network();
+  const auto& src = n.node(f.server_node(0)).out_links;
+  const auto& dst = n.node(f.server_node(1)).in_links;
+  ASSERT_EQ(src.size(), 8u);
+  ASSERT_EQ(dst.size(), 8u);
+  for (std::size_t k = 1; k < src.size(); ++k) n.set_up(src[k], false);
+  for (std::size_t k = 0; k < dst.size(); ++k)
+    if (k != 1) n.set_up(dst[k], false);
+  for (const int pin : {-1, 0, 5}) {
+    const Route got = f.route(0, 1, 3, pin);
+    ASSERT_EQ(got.path.size(), 4u) << "pin " << pin;
+    EXPECT_EQ(got.path.front(), src[0]);
+    EXPECT_EQ(got.path.back(), dst[1]);
+  }
+  expect_route_matches_bfs(f, 1, 1, "rail x8 disjoint rails");
+}
+
+TEST(FabricRoute, HostsForwardIsDecidedByKind) {
+  for (const FabricKind kind :
+       {FabricKind::kFatTree, FabricKind::kOverSubFatTree, FabricKind::kRailOptimized,
+        FabricKind::kMixNet, FabricKind::kNvl72, FabricKind::kMixNetOpticalIO})
+    EXPECT_FALSE(Fabric::build(FabricConfig::preset(kind, 8)).hosts_forward())
+        << to_string(kind);
+  EXPECT_TRUE(Fabric::build(FabricConfig::topoopt(4)).hosts_forward());
 }
 
 }  // namespace
